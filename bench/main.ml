@@ -984,8 +984,8 @@ let run_latency () =
   (* replay-diff oracle: two independent executions of the same recipe
      must produce identical event streams and guest digests *)
   (match
-     (Replay.execute (Replay.Attach { seed = 1850 }),
-      Replay.execute (Replay.Attach { seed = 1850 }))
+     (Replay.execute (Fleet.Session.Recipe.attach ~seed:1850),
+      Replay.execute (Fleet.Session.Recipe.attach ~seed:1850))
    with
   | Ok a, Ok b ->
       let clean =
@@ -1094,7 +1094,7 @@ let run_latency () =
      is the replays, not the harness around them. *)
   let fzobs = Observe.create ~now:(fun () -> 0.0) () in
   let fzm = Observe.metrics fzobs in
-  let fuzz_spec = Replay.Attach { seed = 1900 } in
+  let fuzz_spec = Fleet.Session.Recipe.attach ~seed:1900 in
   let fuzz_base =
     match Replay.execute fuzz_spec with
     | Ok r -> r.Replay.run_events
@@ -1104,12 +1104,14 @@ let run_latency () =
   let fuzz_replay_hist = Observe.Metrics.histogram fzm "fuzz.replay_ns" in
   let fuzz_execute _mutant muts =
     let t0 = Unix.gettimeofday () in
-    let plan = Faults.create ~seed:0 ~rate:0.0 () in
-    Faults.set_script plan (Fuzz.script_of_mutations fuzz_base muts);
-    let atk = Replay.execute_attack ~plan fuzz_spec in
+    let attack =
+      Fleet.Session.Recipe.attack fuzz_spec ~session:0
+        ~script:(Fuzz.script_of_mutations fuzz_base muts) ~skew:[]
+    in
+    let atk = Fleet.Session.run ~host:(Fleet.Session.host attack) attack in
     fuzz_exec_wall := !fuzz_exec_wall +. (Unix.gettimeofday () -. t0);
-    Observe.Metrics.observe fuzz_replay_hist atk.Replay.at_virtual_ns;
-    atk.Replay.at_verdict
+    Observe.Metrics.observe fuzz_replay_hist atk.Fleet.Session.Outcome.virtual_ns;
+    atk.Fleet.Session.Outcome.verdict
   in
   let fuzz_t0 = Unix.gettimeofday () in
   let fuzz_rep =

@@ -11,11 +11,11 @@
      vmsh rescue   -- the password-reset use case end to end *)
 
 module H = Hostos
-module Sfs = Blockdev.Simplefs
 module Vmm = Hypervisor.Vmm
 module Profile = Hypervisor.Profile
 module KV = Linux_guest.Kernel_version
 module Guest = Linux_guest.Guest
+module Session = Fleet.Session
 open Cmdliner
 
 let setup_logs verbose =
@@ -69,30 +69,14 @@ let log_level_arg =
            debug. Default quiet (stderr byte-identical to a build without \
            logging).")
 
-let boot_vm_on h ~profile ~version =
-  let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:4096 () in
-  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev disk) ()) in
-  ignore (Sfs.mkdir_p fs "/dev");
-  ignore (Sfs.mkdir_p fs "/etc");
-  ignore (Sfs.write_file fs "/etc/hostname" (Bytes.of_string "cli-vm\n"));
-  Sfs.sync fs;
-  let disable_seccomp = profile.Profile.prof_name = "Firecracker" in
-  let vmm = Vmm.create h ~profile ~disk ~disable_seccomp () in
-  let g = Vmm.boot vmm ~version in
-  (vmm, g)
-
 let boot_vm ~profile ~version ~seed =
   let h = H.Host.create ~seed () in
-  let vmm, g = boot_vm_on h ~profile ~version in
-  (h, vmm, g)
-
-let tools_image clock =
-  match
-    Blockdev.Image.pack ~clock
-      [ Blockdev.Image.file "/bin/busybox" 800_000 ]
-  with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith (H.Errno.show e)
+  let r =
+    { (Session.Recipe.attach ~seed) with hostname = "cli-vm"; profile; kernel = version }
+  in
+  match Session.stand_up ~host:h r with
+  | Ok (vmm, g, _) -> (h, vmm, g)
+  | Error e -> failwith e
 
 (* --- attach --- *)
 
@@ -185,9 +169,11 @@ let attach_cmd =
       match hostile with
       | None -> config
       | Some cls ->
-          let plan = Faults.create ~seed:11 ~rate:0.0 () in
-          let eng = Hostile.create ~seed:11 ~cls vmm in
-          Faults.set_on_yield plan (Some (fun _ -> Hostile.step eng));
+          let adversary =
+            Session.Recipe.Hostile { plan_seed = 11; cls; k = None }
+          in
+          let plan = Option.get (Session.plan adversary) in
+          Session.arm ~host:h ~seed:11 vmm plan adversary;
           Printf.printf "hostile guest armed: %s\n" (Hostile.name cls);
           Vmsh.Attach.Config.with_faults plan config
     in
@@ -197,7 +183,7 @@ let attach_cmd =
     in
     match
       Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-        ~fs_image:(tools_image h.H.Host.clock)
+        ~fs_image:(Session.tools_image h.H.Host.clock)
         ~config
         ~pump:(fun () -> Vmm.run_until_idle vmm)
         ()
@@ -359,7 +345,7 @@ let matrix_cmd =
         let result =
           match
             Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-              ~fs_image:(tools_image h.H.Host.clock)
+              ~fs_image:(Session.tools_image h.H.Host.clock)
               ~pump:(fun () -> Vmm.run_until_idle vmm)
               ()
           with
@@ -375,7 +361,7 @@ let matrix_cmd =
         let result =
           match
             Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-              ~fs_image:(tools_image h.H.Host.clock)
+              ~fs_image:(Session.tools_image h.H.Host.clock)
               ~pump:(fun () -> Vmm.run_until_idle vmm)
               ()
           with
@@ -472,84 +458,11 @@ let rescue_cmd =
    retry loop in the substrate is bounded, a run that exceeds the
    virtual-time budget is reported as a hang. *)
 
-let fuzz_budget_ns = 120e9
-let fuzz_echo_requests = 20
-
-type fuzz_outcome =
-  | Fuzz_completed
-  | Fuzz_clean_fail of string
-  | Fuzz_unclean of string
-  | Fuzz_hang
-
-let outcome_label = function
-  | Fuzz_completed -> "completed"
-  | Fuzz_clean_fail _ -> "clean-fail"
-  | Fuzz_unclean _ -> "UNCLEAN"
-  | Fuzz_hang -> "HANG"
-
-let fuzz_one ?log_level ~seed ~rate ~trace () =
-  let plan = Faults.create ~seed ~rate () in
-  (* Boost one class per seed to certainty (with a small cap so bounded
-     retries still win): 25 seeds sweep all 7 classes several times over
-     while the background rate keeps every other class in play. *)
-  let boosted = List.nth Faults.all (seed mod List.length Faults.all) in
-  Faults.set_class plan boosted ~rate:1.0 ~cap:2;
-  let h = H.Host.create ~seed:(0xf0 + seed) () in
-  (* the recipe a failure artifact needs to be replayed without us *)
-  List.iter
-    (fun (k, v) -> Trace.Recorder.set_meta h.H.Host.recorder k v)
-    [
-      ("scenario", "fuzz");
-      ("fuzz-seed", string_of_int seed);
-      ("rate", string_of_float rate);
-    ];
-  Option.iter (Observe.set_log_level h.H.Host.observe) log_level;
-  H.Host.arm_faults h plan;
-  if trace then Observe.enable h.H.Host.observe;
-  let outcome =
-    match
-      let vmm, g = boot_vm_on h ~profile:Profile.qemu ~version:KV.V5_10 in
-      let net =
-        Workloads.Traffic.make_network h ~mode:Workloads.Traffic.Echo ()
-      in
-      let config =
-        let fabric, port = net in
-        Vmsh.Attach.Config.(make () |> with_net { Vmsh.Attach.fabric; port })
-      in
-      match
-        Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-          ~fs_image:(tools_image h.H.Host.clock)
-          ~config
-          ~pump:(fun () -> Vmm.run_until_idle vmm)
-          ()
-      with
-      | Error e -> Fuzz_clean_fail (Vmsh.Vmsh_error.to_string e)
-      | Ok session ->
-          ignore (Vmsh.Attach.console_recv session);
-          let out = Vmsh.Attach.console_roundtrip session "hostname" in
-          let echo =
-            Workloads.Traffic.run_client vmm g ~requests:fuzz_echo_requests
-              ~payload_size:64 ~mode:Workloads.Traffic.Echo ()
-          in
-          (match Vmsh.Attach.detach session with
-          | Error e -> Fuzz_unclean ("detach: " ^ Vmsh.Vmsh_error.to_string e)
-          | Ok () ->
-              if String.length out = 0 then
-                Fuzz_unclean "console dead after attach (guest state corrupted?)"
-              else if
-                echo.Workloads.Traffic.completed = 0
-                && Faults.injected plan Faults.Link_burst = 0
-              then Fuzz_unclean "echo made no progress despite a clean link"
-              else Fuzz_completed)
-    with
-    | outcome -> outcome
-    | exception e -> Fuzz_unclean (Printexc.to_string e)
-  in
-  let outcome =
-    if H.Clock.now_ns h.H.Host.clock > fuzz_budget_ns then Fuzz_hang
-    else outcome
-  in
-  (h, plan, boosted, outcome)
+let fuzz_label (o : Session.Outcome.t) =
+  match o.Session.Outcome.verdict with
+  | Faults.Abort.Survived -> "completed"
+  | Faults.Abort.Clean_abort _ -> "clean-fail"
+  | Faults.Abort.Bug _ -> if Session.Outcome.is_hang o then "HANG" else "UNCLEAN"
 
 (* --- fuzz --from-trace: trace-mutation campaigns --- *)
 
@@ -598,20 +511,18 @@ let write_lines path lines =
 (* Build the executor the campaign judges protocol-consistent mutants
    with: lower the chain to a scripted fault plan and re-run the
    recipe's attach for real, oracle live. *)
-let attack_executor ?log_level ~base ~spec () =
-  let virtual_ns = ref 0.0 in
+let attack_executor ?log_level ~base ~recipe () =
   let noops = ref 0 in
   let execute _mutant muts =
-    let plan = Faults.create ~seed:0 ~rate:0.0 () in
-    Faults.set_script plan (Fuzz.script_of_mutations base muts);
-    Faults.set_skew_script plan (Fuzz.skew_script_of_mutations base muts);
     noops := !noops + Fuzz.lowering_noops muts;
-    let session = mutation_session base muts in
-    let atk = Replay.execute_attack ?log_level ~session ~plan spec in
-    virtual_ns := !virtual_ns +. atk.Replay.at_virtual_ns;
-    atk.Replay.at_verdict
+    let attack =
+      Session.Recipe.attack recipe ~session:(mutation_session base muts)
+        ~script:(Fuzz.script_of_mutations base muts)
+        ~skew:(Fuzz.skew_script_of_mutations base muts)
+    in
+    (Session.run ~host:(Session.host ?log_level attack) attack).Session.Outcome.verdict
   in
-  (execute, virtual_ns, noops)
+  (execute, noops)
 
 let fuzz_from_trace ?log_level ~file ~rounds ~seed ~corpus ~minimize
     ~metrics_out () =
@@ -622,9 +533,9 @@ let fuzz_from_trace ?log_level ~file ~rounds ~seed ~corpus ~minimize
         Printf.eprintf "fuzz: %s\n" e;
         exit 1
   in
-  let spec =
-    match Replay.spec_of_meta f.Trace.f_meta with
-    | Ok s -> s
+  let recipe =
+    match Session.Recipe.of_meta f.Trace.f_meta with
+    | Ok r -> r
     | Error e ->
         Printf.eprintf "fuzz: %s\n" e;
         exit 1
@@ -640,7 +551,7 @@ let fuzz_from_trace ?log_level ~file ~rounds ~seed ~corpus ~minimize
     | Some dir -> read_lines (Filename.concat dir "coverage.txt")
     | None -> []
   in
-  let execute, _, lowering_noops = attack_executor ?log_level ~base ~spec () in
+  let execute, lowering_noops = attack_executor ?log_level ~base ~recipe () in
   let rep =
     Fuzz.run_campaign ~base ~seed ~rounds ~minimize_bugs:minimize ~seen
       ~execute ()
@@ -757,26 +668,19 @@ let fuzz_cmd =
     let hangs = ref 0 and unclean = ref 0 in
     for seed = 0 to seeds - 1 do
       let trace = trace_out <> None && seed = trace_seed in
-      let h, plan, boosted, outcome = fuzz_one ?log_level ~seed ~rate ~trace () in
+      let recipe = Session.Recipe.fuzz_seed ~seed ~rate in
+      let h = Session.host ?log_level recipe in
+      if trace then Observe.enable h.H.Host.observe;
+      let outcome = Session.run ~host:h recipe in
+      let plan = h.H.Host.faults in
       scount "fuzz.seeds";
-      (match outcome with
-      | Fuzz_completed -> scount "fuzz.completed"
-      | Fuzz_clean_fail _ -> scount "fuzz.clean_failures"
-      | Fuzz_unclean _ ->
-          incr unclean;
-          scount "fuzz.unclean"
-      | Fuzz_hang ->
-          incr hangs;
-          scount "fuzz.hangs");
-      (* every fuzz failure leaves a replayable flight recording when
-         VMSH_TRACE_DIR is set *)
-      (match outcome with
-      | Fuzz_unclean _ | Fuzz_hang ->
-          ignore
-            (Trace.dump_on_failure h.H.Host.recorder
-               ~name:(Printf.sprintf "fuzz-seed%d" seed)
-               ())
-      | Fuzz_completed | Fuzz_clean_fail _ -> ());
+      let label = fuzz_label outcome in
+      if label = "HANG" then incr hangs;
+      if label = "UNCLEAN" then incr unclean;
+      scount
+        (List.assoc label
+           [ ("completed", "fuzz.completed"); ("clean-fail", "fuzz.clean_failures");
+             ("HANG", "fuzz.hangs"); ("UNCLEAN", "fuzz.unclean") ]);
       List.iter
         (fun cls ->
           let n = Faults.injected plan cls in
@@ -793,11 +697,13 @@ let fuzz_cmd =
         (Observe.Metrics.counters (Observe.metrics h.H.Host.observe));
       Observe.Metrics.observe attach_hist (H.Clock.now_ns h.H.Host.clock);
       Printf.printf "seed %2d: %-10s boosted=%-13s injected=%2d virtual=%6.1f ms%s\n"
-        seed (outcome_label outcome) (Faults.name boosted)
+        seed label
+        (Faults.name (List.nth Faults.all (seed mod List.length Faults.all)))
         (Faults.total_injected plan)
         (H.Clock.now_ns h.H.Host.clock /. 1e6)
-        (match outcome with
-        | Fuzz_clean_fail m | Fuzz_unclean m -> " (" ^ m ^ ")"
+        (match outcome.Session.Outcome.verdict with
+        | (Faults.Abort.Clean_abort m | Faults.Abort.Bug m) when label <> "HANG" ->
+            " (" ^ m ^ ")"
         | _ -> "");
       if trace then
         match trace_out with
@@ -933,53 +839,32 @@ let sweep_cmd =
       Printf.eprintf "sweep: --vms must be positive\n";
       exit 2
     end;
-    let r =
-      if hostile then begin
-        (* the hostile-guest chaos matrix: --class names select hostile
-           classes here, not fault classes *)
-        let classes =
-          match classes with
-          | [] -> None
-          | cs ->
-              Some
-                (List.map
-                   (fun s ->
-                     match Hostile.of_name s with
-                     | Some c -> c
-                     | None ->
-                         Printf.eprintf
-                           "sweep: unknown hostile class %S (one of: %s)\n" s
-                           (String.concat ", "
-                              (List.map Hostile.name Hostile.all));
-                         exit 2)
-                   cs)
-        in
-        Fleet.Sweep.run_hostile ~seed ?classes ~vms ?log_level ()
-      end
+    (* the hostile-guest chaos matrix: --class names select hostile
+       classes there, not fault classes *)
+    let cell name =
+      let pick what of_name names mk =
+        match of_name name with
+        | Some c -> mk c
+        | None ->
+            Printf.eprintf "sweep: unknown %s class %S (one of: %s)\n" what name
+              (String.concat ", " names);
+            exit 2
+      in
+      if hostile then
+        pick "hostile" Hostile.of_name (List.map Hostile.name Hostile.all) (fun c ->
+            Session.Recipe.Adversary c)
+      else if name = "fault-free" then Session.Recipe.Fault None
       else
-        let classes =
-          match classes with
-          | [] -> None
-          | cs ->
-              Some
-                (List.map
-                   (fun s ->
-                     if s = "fault-free" then None
-                     else
-                       match Faults.of_name s with
-                       | Some c -> Some c
-                       | None ->
-                           Printf.eprintf
-                             "sweep: unknown fault class %S (try fault-free \
-                              or: %s)\n"
-                             s
-                             (String.concat ", "
-                                (List.map Faults.name Faults.all));
-                           exit 2)
-                   cs)
-        in
-        Fleet.Sweep.run ~seed ?classes ~vms ?log_level ()
+        pick "fault" Faults.of_name ("fault-free" :: List.map Faults.name Faults.all)
+          (fun c -> Session.Recipe.Fault (Some c))
     in
+    let cells =
+      match classes with
+      | [] when hostile -> Fleet.Sweep.hostile_cells
+      | [] -> Fleet.Sweep.fault_cells
+      | cs -> List.map cell cs
+    in
+    let r = Fleet.Sweep.run ~seed ~cells ~vms ?log_level () in
     if verbose then
       List.iter
         (fun p -> Format.printf "%a@." Fleet.Sweep.pp_point p)
@@ -1003,8 +888,7 @@ let sweep_cmd =
     if not (Fleet.Sweep.ok r) then begin
       List.iter
         (fun p ->
-          if p.Fleet.Sweep.pt_oracle <> [] || p.Fleet.Sweep.pt_leaked_fds > 0
-             || p.Fleet.Sweep.pt_unclean <> None
+          if Faults.Abort.is_bug p.Fleet.Sweep.pt_outcome.Session.Outcome.verdict
           then Format.eprintf "%a@." Fleet.Sweep.pp_point p)
         r.Fleet.Sweep.sw_points;
       exit 1
@@ -1535,17 +1419,31 @@ let trace_file_arg =
 
 let trace_record_cmd =
   let run scenario seed vms from_baseline cls k hostile out log_level =
-    let spec =
-      match scenario with
-      | "attach" -> Replay.Attach { seed }
-      | "fleet" -> Replay.Fleet_run { seed; vms; from_baseline }
-      | "sweep" | "sweep-cell" -> Replay.Sweep_cell { seed; cls; k; hostile }
-      | s ->
-          Printf.eprintf
-            "trace record: unknown scenario %S (try attach, fleet or sweep)\n" s;
+    (* the flags spell a header; the recipe codec reads it. A serve-job
+       is the plain attach, or the sweep / hostile kind --class -k or
+       --hostile name *)
+    let seed = string_of_int seed in
+    let kind =
+      if hostile <> "" then "hostile:" ^ hostile
+      else if cls <> "fault-free" then Printf.sprintf "sweep:%s:%d" cls (max 0 k)
+      else "attach"
+    in
+    let recipe =
+      Session.Recipe.of_meta
+        ([ ("scenario", if scenario = "sweep" then "sweep-cell" else scenario);
+           ("seed", seed); ("job-seed", seed); ("fuzz-seed", seed);
+           ("vms", string_of_int vms); ("class", cls); ("k", string_of_int k);
+           ("kind", kind); ("boot", if from_baseline then "fork" else "cold") ]
+        @ if hostile = "" then [] else [ ("hostile", hostile) ])
+    in
+    let recipe =
+      match recipe with
+      | Ok r -> r
+      | Error e ->
+          Printf.eprintf "trace record: %s\n" e;
           exit 2
     in
-    match Replay.record ?log_level spec ~path:out with
+    match Replay.record ?log_level recipe ~path:out with
     | Error e ->
         Printf.eprintf "trace record: %s\n" e;
         exit 1
@@ -1558,12 +1456,15 @@ let trace_record_cmd =
     Arg.(
       value & opt string "attach"
       & info [ "scenario" ] ~docv:"S"
-          ~doc:"What to run and record: attach, fleet, or sweep (one cell).")
+          ~doc:
+            "What to run and record: attach, fleet, sweep (one cell), \
+             serve-job (one served job) or fuzz (one fault-matrix seed).")
   in
   let seed =
     Arg.(
       value & opt int 5
-      & info [ "seed" ] ~docv:"N" ~doc:"Scenario seed (fleet default is 7).")
+      & info [ "seed" ] ~docv:"N"
+          ~doc:"Scenario seed (fleet default is 7; the job seed for serve-job).")
   in
   let vms =
     Arg.(
@@ -1619,20 +1520,19 @@ let trace_replay_cmd =
         Printf.eprintf "trace replay: %s\n" e;
         exit 1
     | Ok f -> (
-        (* fuzz artifacts replay through the CLI's own fuzz driver;
-           fuzz-mutant corpus entries and reproducers by rebuilding the
-           mutant from the stored base prefix + mutation chain and
-           re-executing the attack; every other scenario through the
-           recipe library *)
+        (* fuzz-mutant corpus entries and reproducers replay by
+           rebuilding the mutant from the stored base prefix + mutation
+           chain and re-executing the attack; every other recording
+           through its recipe *)
         let diffs =
           match List.assoc_opt "scenario" f.Trace.f_meta with
           | Some s when s = Fuzz.mutant_scenario -> (
               match Fuzz.parse_mutant_meta f.Trace.f_meta with
               | Error _ as e -> e
               | Ok mf -> (
-                  match Replay.spec_of_meta mf.Fuzz.mf_base_meta with
+                  match Session.Recipe.of_meta mf.Fuzz.mf_base_meta with
                   | Error _ as e -> e
-                  | Ok spec ->
+                  | Ok recipe ->
                       let base = f.Trace.f_events in
                       let mutant = Fuzz.apply_all base mf.Fuzz.mf_muts in
                       let verdict =
@@ -1640,8 +1540,8 @@ let trace_replay_cmd =
                         | p :: _ ->
                             Faults.Abort.Clean_abort ("protocol: " ^ p)
                         | [] ->
-                            let execute, _, _ =
-                              attack_executor ?log_level ~base ~spec ()
+                            let execute, _ =
+                              attack_executor ?log_level ~base ~recipe ()
                             in
                             execute mutant mf.Fuzz.mf_muts
                       in
@@ -1656,24 +1556,6 @@ let trace_replay_cmd =
                                 %S"
                                want got;
                            ])))
-          | Some "fuzz" ->
-              let geti key d =
-                Option.bind (List.assoc_opt key f.Trace.f_meta)
-                  int_of_string_opt
-                |> Option.value ~default:d
-              in
-              let rate =
-                Option.bind (List.assoc_opt "rate" f.Trace.f_meta)
-                  float_of_string_opt
-                |> Option.value ~default:0.15
-              in
-              let h, _, _, _ =
-                fuzz_one ?log_level ~seed:(geti "fuzz-seed" 0) ~rate
-                  ~trace:false ()
-              in
-              Ok
-                (Trace.diff f.Trace.f_events
-                   (Trace.Recorder.events h.H.Host.recorder))
           | _ -> Replay.replay ?log_level ~path:file ()
         in
         match diffs with

@@ -35,9 +35,9 @@
 #                 replay-diff oracle, and a double-run determinism
 #                 check on the matrix metrics
 #   trace         flight recorder: record -> replay -> diff on a smoke
-#                 attach, a fleet run, and one crash-point sweep cell;
-#                 two identically-seeded recordings must be
-#                 byte-identical
+#                 attach, a fleet run, one crash-point sweep cell, one
+#                 served job and one fault-matrix seed; two
+#                 identically-seeded recordings must be byte-identical
 #   fuzz-trace    trace-mutation fuzzing: record seed attach and
 #                 fleet-8 traces, run `vmsh fuzz --from-trace` at a
 #                 pinned seed with the minimizing corpus on — 0 hangs,
@@ -55,8 +55,9 @@
 #                 recording-overhead, and vmsh-serve saturation-knee
 #                 scenarios
 #
-# Every sweep/fuzz/fleet failure drops a replayable .vmshtrace artifact
-# into $CI_ARTIFACTS (VMSH_TRACE_DIR), uploaded by the workflow.
+# Every failing sweep/fuzz/fleet/serve session drops a replayable
+# .vmshtrace artifact into $CI_ARTIFACTS (VMSH_TRACE_DIR), uploaded by
+# the workflow.
 #
 # All JSON assertions go through the dune-built bin/ci_check.exe (no
 # python needed). Run one stage with `./ci.sh --stage NAME`; artifacts
@@ -68,7 +69,7 @@ cd "$(dirname "$0")"
 ARTIFACTS=${CI_ARTIFACTS:-/tmp/vmsh-ci}
 STAGES="build test smoke-attach smoke-net fault-matrix fleet fleet-fork crash-matrix hostile-matrix trace fuzz-trace serve bench"
 
-# dump-on-failure: any failing sweep/fuzz/fleet run leaves a replayable
+# dump-on-failure: any failing session leaves a replayable
 # .vmshtrace recording next to the other artifacts
 VMSH_TRACE_DIR=$ARTIFACTS
 export VMSH_TRACE_DIR
@@ -249,7 +250,7 @@ stage_hostile_matrix() {
 
 stage_trace() {
   # record -> replay -> diff: the replay-diff oracle must come back
-  # clean for a smoke attach, a fleet run, and one sweep crash cell
+  # clean for every recorded scenario
   vmsh trace record --scenario attach --seed 5 \
     -o "$ARTIFACTS/attach-a.vmshtrace"
   vmsh trace replay "$ARTIFACTS/attach-a.vmshtrace"
@@ -259,6 +260,14 @@ stage_trace() {
   vmsh trace record --scenario sweep --class inject-eintr -k 3 --seed 5 \
     -o "$ARTIFACTS/sweep-cell.vmshtrace"
   vmsh trace replay "$ARTIFACTS/sweep-cell.vmshtrace"
+  # one served job and one fault-matrix seed: every scenario the recipe
+  # header codec knows must round-trip
+  vmsh trace record --scenario serve-job --class inject-eintr -k 3 --seed 17 \
+    -o "$ARTIFACTS/serve-job.vmshtrace"
+  vmsh trace replay "$ARTIFACTS/serve-job.vmshtrace"
+  vmsh trace record --scenario fuzz --seed 3 \
+    -o "$ARTIFACTS/fuzz-seed.vmshtrace"
+  vmsh trace replay "$ARTIFACTS/fuzz-seed.vmshtrace"
   # Determinism: the binary recording itself must be byte-stable.
   vmsh trace record --scenario attach --seed 5 \
     -o "$ARTIFACTS/attach-b.vmshtrace" > /dev/null

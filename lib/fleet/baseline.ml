@@ -1,6 +1,6 @@
 (* Baked baseline images and copy-on-write VM forking.
 
-   [bake] boots one machine to the attach-ready point (devices probed,
+   [bake_with] boots one machine to the attach-ready point (devices probed,
    root mounted, console answering) and freezes everything a clone
    needs: the guest RAM pages (the serialized page tables live inside
    them), the VMM's disk bounce buffer, the root disk blocks, the
@@ -54,21 +54,12 @@ let version img = img.img_version
 let digest img = img.img_digest
 let hostname img = img.img_hostname
 
-(* Same provisioning recipe as a cold fleet session, so a fork's disk
+(* [disk] is the cold sessions' own provisioning, so a fork's disk
    differs from a cold boot's only in the hostname bytes. *)
-let bake_disk h ~name =
-  let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:4096 () in
-  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev disk) ()) in
-  ignore (Sfs.mkdir_p fs "/dev");
-  ignore (Sfs.mkdir_p fs "/etc");
-  ignore (Sfs.write_file fs "/etc/hostname" (Bytes.of_string (name ^ "\n")));
-  Sfs.sync fs;
-  disk
-
-let bake ?(seed = 0xba5e) ?(profile = Profile.qemu) ?(version = KV.V5_10)
-    ?(hostname = "baseline") () =
+let bake_with ~disk ?(seed = 0xba5e) ?(profile = Profile.qemu)
+    ?(version = KV.V5_10) ?(hostname = "baseline") () =
   let host = H.Host.create ~seed () in
-  let disk = bake_disk host ~name:hostname in
+  let disk = disk host ~name:hostname in
   let disable_seccomp = profile.Profile.prof_name = "Firecracker" in
   let vmm = Vmm.create host ~profile ~disk ~disable_seccomp () in
   (* split the boot stream off the host RNG exactly as a cold boot

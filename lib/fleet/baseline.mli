@@ -1,6 +1,6 @@
 (** Baked baseline images and copy-on-write VM forking.
 
-    Boot once, fork thousands of times: {!bake} drives one machine to
+    Boot once, fork thousands of times: {!bake_with} drives one machine to
     the attach-ready point and freezes its guest RAM (the serialized
     page tables live inside it), disk blocks, bounce buffer, kernel
     image and boot RNG stream into an {!image}. {!fork} stands up a
@@ -23,14 +23,17 @@ type forked = {
   fk_fork_ns : float;  (** virtual cost charged for the fork itself *)
 }
 
-val bake :
+val bake_with :
+  disk:(Hostos.Host.t -> name:string -> Blockdev.Backend.t) ->
   ?seed:int ->
   ?profile:Hypervisor.Profile.t ->
   ?version:Linux_guest.Kernel_version.t ->
   ?hostname:string ->
   unit ->
   image
-(** Boot one machine to the attach-ready point and freeze it.
+(** Boot one machine, its root disk provisioned by [disk], to the
+    attach-ready point and freeze it ({!Fleet.Baseline.bake} supplies
+    the sessions' own provisioning).
     Deterministic: the same arguments always produce the same image
     (which is what lets a trace replay re-bake instead of shipping the
     image in the trace). Defaults: seed [0xba5e], QEMU profile, v5.10,

@@ -1,20 +1,20 @@
 module H = Hostos
-module Sfs = Blockdev.Simplefs
-module Vmm = Hypervisor.Vmm
 module Profile = Hypervisor.Profile
 module KV = Linux_guest.Kernel_version
 module E = Vmsh.Vmsh_error
 module Sweep = Fleet_sweep
-module Baseline = Baseline
+module Session = Session
 
-let src = Logs.Src.create "vmsh.fleet" ~doc:"VMSH fleet attach engine"
+module Baseline = struct
+  include Baseline
 
-module Log = (val Logs.src_log src : Logs.LOG)
+  let bake = Session.bake
+end
 
 (* --- configuration ------------------------------------------------ *)
 
 module Config = struct
-  type boot_source = Cold_boot | Fork_of of Baseline.image
+  type boot_source = Session.Recipe.boot = Cold | Fork_of of Baseline.image
 
   type t = {
     vms : int;
@@ -36,7 +36,7 @@ module Config = struct
       fault_rate = 0.0;
       share_symbols = true;
       log_level = None;
-      boot_source = Cold_boot;
+      boot_source = Cold;
     }
 
   let with_vms vms t = { t with vms }
@@ -55,7 +55,7 @@ module Config = struct
   let share_symbols t = t.share_symbols
   let log_level t = t.log_level
   let boot_source t = t.boot_source
-  let is_fork t = match t.boot_source with Fork_of _ -> true | Cold_boot -> false
+  let is_fork t = match t.boot_source with Fork_of _ -> true | Cold -> false
 
   let validate t =
     if t.vms <= 0 then Error (E.Invalid_config "fleet: vms must be positive")
@@ -63,7 +63,7 @@ module Config = struct
       Error (E.Invalid_config "fleet: fault_rate must be within [0, 1]")
     else
       match t.boot_source with
-      | Cold_boot -> Ok t
+      | Cold -> Ok t
       | Fork_of img -> (
           match Baseline.validate img ~profile:t.profile ~version:t.version with
           | Ok () -> Ok t
@@ -93,173 +93,6 @@ type report = {
   r_schedule : string;
 }
 
-let boot_disk h ~name =
-  let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:4096 () in
-  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev disk) ()) in
-  ignore (Sfs.mkdir_p fs "/dev");
-  ignore (Sfs.mkdir_p fs "/etc");
-  ignore (Sfs.write_file fs "/etc/hostname" (Bytes.of_string (name ^ "\n")));
-  Sfs.sync fs;
-  disk
-
-let tools_image clock =
-  match
-    Blockdev.Image.pack ~clock [ Blockdev.Image.file "/bin/busybox" 800_000 ]
-  with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith (H.Errno.show e)
-
-(* Stand up the session's machine: a cold boot builds disk + VMM +
-   guest from scratch; a fork clones the baked baseline through CoW
-   overlays and is charged only the linked-clone cost. Returns the live
-   VMM plus the virtual nanoseconds the stand-up cost this session. *)
-let provision ~host ~name ~(cfg : Config.t) =
-  let t0 = H.Clock.now_ns host.H.Host.clock in
-  match cfg.Config.boot_source with
-  | Config.Cold_boot ->
-      let disk = boot_disk host ~name in
-      let disable_seccomp =
-        cfg.Config.profile.Profile.prof_name = "Firecracker"
-      in
-      let vmm =
-        Vmm.create host ~profile:cfg.Config.profile ~disk ~disable_seccomp ()
-      in
-      ignore (Vmm.boot vmm ~version:cfg.Config.version);
-      Ok (vmm, H.Clock.now_ns host.H.Host.clock -. t0)
-  | Config.Fork_of img -> (
-      match
-        Baseline.fork img ~host ~profile:cfg.Config.profile ~name
-      with
-      | Ok f -> Ok (f.Baseline.fk_vmm, f.Baseline.fk_fork_ns)
-      | Error e -> Error e)
-
-(* Fold the fork's overlay occupancy into the session registry so the
-   merged fleet document carries the real memory story: pages still
-   shared with the baseline vs pages the clone privately copied. *)
-let observe_overlay mx vmm =
-  let p = Vmm.proc vmm in
-  let ram = H.Mem.Addr_space.cow_totals p.H.Proc.aspace in
-  let disk =
-    match H.Mem.cow_stats (Blockdev.Backend.mem (Vmm.disk vmm)) with
-    | Some s -> s
-    | None ->
-        {
-          H.Mem.cs_pages_total = 0;
-          cs_pages_copied = 0;
-          cs_silent_writes = 0;
-          cs_resident_bytes = 0;
-        }
-  in
-  let set name v =
-    Observe.Metrics.set_counter (Observe.Metrics.counter mx name) v
-  in
-  let total = ram.H.Mem.cs_pages_total + disk.H.Mem.cs_pages_total in
-  let copied = ram.H.Mem.cs_pages_copied + disk.H.Mem.cs_pages_copied in
-  set "overlay.pages_copied" copied;
-  set "overlay.pages_shared" (total - copied);
-  set "overlay.silent_writes"
-    (ram.H.Mem.cs_silent_writes + disk.H.Mem.cs_silent_writes);
-  set "overlay.resident_bytes"
-    (ram.H.Mem.cs_resident_bytes + disk.H.Mem.cs_resident_bytes)
-
-(* One fleet session: stand up a VM on its own host (cold boot or CoW
-   fork), attach, prove the overlay answers on the console, detach.
-   Runs as a fiber; every step between yield points touches only this
-   session's host. *)
-let session ~host ~name ~(cfg : Config.t) ~index ~cache results () =
-  (* tag every flight event and any failure artifact with the session *)
-  Trace.Recorder.set_session host.H.Host.recorder index;
-  Trace.Recorder.set_meta host.H.Host.recorder "session" name;
-  Trace.Recorder.set_meta host.H.Host.recorder "boot"
-    (if Config.is_fork cfg then "fork" else "cold");
-  match provision ~host ~name ~cfg with
-  | Error e ->
-      results.(index) <-
-        Some
-          {
-            s_name = name;
-            s_result = Error (E.to_string e);
-            s_attach_ns = Float.nan;
-            s_fork_ns = Float.nan;
-            s_total_ns = H.Clock.now_ns host.H.Host.clock;
-            s_host = host;
-            s_digest = "";
-          }
-  | Ok (vmm, standup_ns) ->
-      let mx = Observe.metrics host.H.Host.observe in
-      let fork_ns =
-        if Config.is_fork cfg then begin
-          Observe.Metrics.observe
-            (Observe.Metrics.histogram mx "fleet.fork_ns")
-            standup_ns;
-          standup_ns
-        end
-        else Float.nan
-      in
-      let t0 = H.Clock.now_ns host.H.Host.clock in
-      let config =
-        let open Vmsh.Attach.Config in
-        let c = make () in
-        let c =
-          match cache with Some k -> with_symbol_cache k c | None -> c
-        in
-        if cfg.Config.fault_rate > 0.0 then
-          with_faults
-            (Faults.create
-               ~seed:((cfg.Config.seed * 31) + index)
-               ~rate:cfg.Config.fault_rate ())
-            c
-        else c
-      in
-      let result =
-        match
-          Vmsh.Attach.attach host ~hypervisor_pid:(Vmm.pid vmm)
-            ~fs_image:(tools_image host.H.Host.clock)
-            ~config
-            ~pump:(fun () -> Vmm.run_until_idle vmm)
-            ()
-        with
-        | Error e -> Error (E.to_string e)
-        | Ok sess -> (
-            ignore (Vmsh.Attach.console_recv sess);
-            let out = Vmsh.Attach.console_roundtrip sess "hostname" in
-            match Vmsh.Attach.detach sess with
-            | Error e -> Error (E.to_string e)
-            | Ok () ->
-                if String.length out = 0 then Error "console dead after attach"
-                else if
-                  (* a fork must answer with its own per-clone hostname:
-                     the one write that diverged it from the baseline —
-                     and from every sibling *)
-                  Config.is_fork cfg
-                  && not (String.length out > String.length name
-                          && String.sub out 0 (String.length name + 1)
-                             = name ^ "\n")
-                then
-                  Error
-                    (Printf.sprintf
-                       "fork isolation: console answered %S, want %S" out name)
-                else Ok ())
-      in
-      let now = H.Clock.now_ns host.H.Host.clock in
-      if Config.is_fork cfg then observe_overlay mx vmm;
-      (* zero-virtual-cost guest-state digest: the replay-diff oracle
-         compares it between a live fleet run and its replay *)
-      let digest =
-        Vmsh.Snapshot.digest (Vmsh.Snapshot.capture (Vmm.kvm_vm vmm))
-      in
-      results.(index) <-
-        Some
-          {
-            s_name = name;
-            s_result = result;
-            s_attach_ns = now -. t0;
-            s_fork_ns = fork_ns;
-            s_total_ns = now;
-            s_host = host;
-            s_digest = digest;
-          }
-
 let counter_value mx name =
   Observe.Metrics.counter_value (Observe.Metrics.counter mx name)
 
@@ -267,7 +100,7 @@ let run_validated (cfg : Config.t) =
   let vms = cfg.Config.vms and seed = cfg.Config.seed in
   let cache =
     if cfg.Config.share_symbols then
-      Some (Vmsh.Symbol_analysis.Cache.create ())
+      Some (Session.cache ())
     else None
   in
   let sched = Sched.create () in
@@ -279,81 +112,65 @@ let run_validated (cfg : Config.t) =
          Buffer.add_string schedule
            (Printf.sprintf "slice %d %s t=%.0f\n" !slice name now_ns);
          incr slice));
-  let results = Array.make vms None in
-  let hosts =
+  let outcomes = Array.make vms None in
+  let sessions =
     List.init vms (fun i ->
-        (* distinct, well-separated seed per session: each host draws an
-           independent deterministic RNG stream *)
-        let host = H.Host.create ~seed:((seed * 1009) + (i * 17)) () in
-        Option.iter
-          (Observe.set_log_level host.H.Host.observe)
-          cfg.Config.log_level;
-        let name = Printf.sprintf "vm%d" i in
-        Sched.spawn sched ~name ~clock:host.H.Host.clock
-          (session ~host ~name ~cfg ~index:i ~cache results);
-        host)
+        let recipe =
+          Session.Recipe.fleet_session ~seed ~vms ~index:i
+            ~profile:cfg.Config.profile ~kernel:cfg.Config.version
+            ~fault_rate:cfg.Config.fault_rate
+            ~boot:cfg.Config.boot_source
+        in
+        let host = Session.host ?log_level:cfg.Config.log_level recipe in
+        let name = recipe.Session.Recipe.hostname in
+        (* one session per fiber: every step between yield points
+           touches only this session's host *)
+        Sched.spawn sched ~name ~clock:host.H.Host.clock (fun () ->
+            outcomes.(i) <- Some (Session.run ?cache ~host recipe));
+        (name, host))
   in
-  let outcomes = Sched.run sched in
-  List.iteri
-    (fun i (name, outcome) ->
-      match (outcome, results.(i)) with
-      | Sched.Done, Some _ -> ()
-      | Sched.Done, None | Sched.Failed _, _ ->
-          (* the fiber died before filing its report (escaped exception
-             or an aborted run): synthesize a failed session so the
-             report always has [vms] entries *)
-          let msg =
-            match outcome with
-            | Sched.Failed e -> Printexc.to_string e
-            | Sched.Done -> "session filed no report"
+  let died = Sched.run sched in
+  let report i (name, host) =
+    let o = Session.Outcome.(match outcomes.(i) with
+      | Some o -> o
+      | None ->
+          (* the fiber died before filing its outcome: a failed session,
+             so the report always has [vms] entries *)
+          let why =
+            match List.nth died i with
+            | _, Sched.Failed e -> Printexc.to_string e
+            | _, Sched.Done -> "session filed no report"
           in
-          let host = List.nth hosts i in
-          results.(i) <-
-            Some
-              {
-                s_name = name;
-                s_result = Error msg;
-                s_attach_ns = Float.nan;
-                s_fork_ns = Float.nan;
-                s_total_ns = H.Clock.now_ns host.H.Host.clock;
-                s_host = host;
-                s_digest = "";
-              })
-    outcomes;
-  (* every failed session leaves a replayable artifact when
-     VMSH_TRACE_DIR is set (CI uploads them) *)
-  Array.iter
-    (fun r ->
-      match r with
-      | Some s when Result.is_error s.s_result ->
-          ignore
-            (Trace.dump_on_failure s.s_host.H.Host.recorder
-               ~name:(Printf.sprintf "fleet-s%d-%s" seed s.s_name)
-               ~extra_meta:
-                 [
-                   ("scenario", "fleet");
-                   ("fleet-seed", string_of_int seed);
-                   ("vms", string_of_int vms);
-                   ( "boot",
-                     if Config.is_fork cfg then "fork" else "cold" );
-                   ("error", Result.fold ~ok:(fun () -> "") ~error:Fun.id s.s_result);
-                 ]
-               ())
-      | _ -> ())
-    results;
+          { verdict = Faults.Abort.Bug why; error = None; oracle = []; leaked_fds = 0;
+            digest = ""; virtual_ns = H.Clock.now_ns host.H.Host.clock; yields = 0;
+            fork_ns = Float.nan; attach_ns = Float.nan })
+    in
+    {
+      s_name = name;
+      s_result =
+        (match o.Session.Outcome.verdict with
+        | Faults.Abort.Survived -> Ok ()
+        | v -> Error (Faults.Abort.detail v));
+      s_attach_ns = o.Session.Outcome.attach_ns;
+      s_fork_ns = o.Session.Outcome.fork_ns;
+      s_total_ns = o.Session.Outcome.virtual_ns;
+      s_host = host;
+      s_digest = o.Session.Outcome.digest;
+    }
+  in
   let hits, misses =
     List.fold_left
-      (fun (h, m) host ->
+      (fun (h, m) (_, host) ->
         let mx = Observe.metrics host.H.Host.observe in
         ( h + counter_value mx "symcache.hits",
           m + counter_value mx "symcache.misses" ))
-      (0, 0) hosts
+      (0, 0) sessions
   in
   {
     r_vms = vms;
     r_seed = seed;
     r_forked = Config.is_fork cfg;
-    r_sessions = List.filter_map Fun.id (Array.to_list results);
+    r_sessions = List.mapi report sessions;
     r_yields = Sched.yields sched;
     r_cache_hits = hits;
     r_cache_misses = misses;
@@ -378,24 +195,27 @@ let fork_latencies r =
       else None)
     r.r_sessions
 
-let record mx ~label r =
+let observe_latencies mx ~label r =
   let hist = Observe.Metrics.histogram mx ("fleet.attach_ns." ^ label) in
   List.iter (Observe.Metrics.observe hist) (successes r);
-  (match fork_latencies r with
+  match fork_latencies r with
   | [] -> ()
   | forks ->
       let fh = Observe.Metrics.histogram mx ("fleet.fork_ns." ^ label) in
-      List.iter (Observe.Metrics.observe fh) forks);
+      List.iter (Observe.Metrics.observe fh) forks
+
+let failures r =
+  List.length (List.filter (fun s -> Result.is_error s.s_result) r.r_sessions)
+
+let record mx ~label r =
+  observe_latencies mx ~label r;
   let bump name by =
     Observe.Metrics.incr ~by (Observe.Metrics.counter mx name)
   in
   if r.r_cache_hits > 0 then bump "symcache.hits" r.r_cache_hits;
   if r.r_cache_misses > 0 then bump "symcache.misses" r.r_cache_misses;
   bump ("fleet.yields." ^ label) r.r_yields;
-  let failures =
-    List.length (List.filter (fun s -> Result.is_error s.s_result) r.r_sessions)
-  in
-  if failures > 0 then bump ("fleet.failures." ^ label) failures
+  if failures r > 0 then bump ("fleet.failures." ^ label) (failures r)
 
 let percentile_of xs p =
   match xs with
@@ -438,23 +258,10 @@ let metrics_json r =
   (* the merge already folded each session's symcache, recovery, stage
      and overlay counters together; add only the fleet-level summary
      the sessions cannot know *)
-  let hist = Observe.Metrics.histogram mx "fleet.attach_ns.fleet" in
-  List.iter (Observe.Metrics.observe hist) (successes r);
-  (match fork_latencies r with
-  | [] -> ()
-  | forks ->
-      let fh = Observe.Metrics.histogram mx "fleet.fork_ns.fleet" in
-      List.iter (Observe.Metrics.observe fh) forks);
-  Observe.Metrics.set_counter
-    (Observe.Metrics.counter mx "fleet.yields.fleet")
-    r.r_yields;
-  let failures =
-    List.length (List.filter (fun s -> Result.is_error s.s_result) r.r_sessions)
-  in
-  if failures > 0 then
-    Observe.Metrics.set_counter
-      (Observe.Metrics.counter mx "fleet.failures.fleet")
-      failures;
+  observe_latencies mx ~label:"fleet" r;
+  let set name v = Observe.Metrics.set_counter (Observe.Metrics.counter mx name) v in
+  set "fleet.yields.fleet" r.r_yields;
+  if failures r > 0 then set "fleet.failures.fleet" (failures r);
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"fleet\": ";
   Buffer.add_string b (Observe.Export.metrics_json agg);

@@ -31,15 +31,33 @@ module Sweep = Fleet_sweep
     rollback-oracle and fd-leak post-conditions (the crash-matrix CI
     gate). *)
 
-module Baseline = Baseline
+module Session = Session
+(** The one session runner: {!Session.Recipe.t} in,
+    {!Session.Outcome.t} out; the recipe doubles as the [.vmshtrace]
+    header of the session's failure artifact. *)
+
 (** Baked baseline images and copy-on-write VM forking — boot once,
     fork thousands of linked clones through per-page overlays. *)
+module Baseline : sig
+  include module type of struct
+    include Baseline
+  end
+
+  val bake :
+    ?seed:int ->
+    ?profile:Hypervisor.Profile.t ->
+    ?version:Linux_guest.Kernel_version.t ->
+    ?hostname:string ->
+    unit ->
+    image
+  (** {!Baseline.bake_with} the cold sessions' own disk provisioning. *)
+end
 
 (** Fleet configuration: a builder mirroring {!Vmsh.Attach.Config}
     (make / with_* / validate). *)
 module Config : sig
-  type boot_source =
-    | Cold_boot  (** build every session from scratch (the default) *)
+  type boot_source = Session.Recipe.boot =
+    | Cold  (** build every session from scratch (the default) *)
     | Fork_of of Baseline.image
         (** clone every session from this baked baseline through CoW
             overlays *)

@@ -1,39 +1,24 @@
 (* Crash-point sweep: the robustness gate for transactional attach.
 
-   For every fault class (plus a fault-free lane) the sweep first runs a
-   probe attach with the crash point parked beyond reach to learn Y, the
-   number of cooperative yield points the attach path crosses, then
-   re-runs the attach Y more times with [abort-at-yield(k)] armed for
-   every k in [0, Y). Each point boots a fresh simulated machine, so the
-   points are independent and can be interleaved by the virtual-time
-   scheduler (the fleet-shaped crash matrix).
-
-   Every aborted point must satisfy three post-conditions:
-   - the error is a clean, parseable {!Vmsh.Vmsh_error.t} (an escaped
-     exception is reported as unclean);
-   - the snapshot oracle finds guest memory and vCPU registers
-     byte-identical to the pre-attach capture, modulo pages the guest
-     itself dirtied;
-   - the host-wide open-descriptor count returns to its pre-attach
-     value (nothing leaked in the VMSH process or the hypervisor). *)
+   For every cell — a fault class (or none), or an adversarial guest —
+   a probe attach with the crash point parked beyond reach learns Y,
+   the number of cooperative yield points the attach path crosses; the
+   attach is then re-run Y more times with [abort-at-yield(k)] armed
+   for every k in [0, Y). Each point boots a fresh simulated machine,
+   so the points are independent and can be interleaved by the
+   virtual-time scheduler (the fleet-shaped crash matrix). Every point
+   must end in a completed attach or a clean abort: a round-trippable
+   error, the guest restored byte for byte (modulo pages it dirtied
+   itself) and no descriptor leaked — {!Session.Outcome.grade}. *)
 
 module H = Hostos
-module Sfs = Blockdev.Simplefs
-module Vmm = Hypervisor.Vmm
-module Profile = Hypervisor.Profile
-module KV = Linux_guest.Kernel_version
+module Recipe = Session.Recipe
+module Outcome = Session.Outcome
 
 type point = {
-  pt_class : string;  (** armed fault class, or ["fault-free"] *)
+  pt_class : string;  (** armed fault class, ["fault-free"] or ["hostile-<class>"] *)
   pt_yield : int;  (** k of [abort-at-yield(k)]; the probe uses [-1] *)
-  pt_outcome : string;  (** ["completed"] / ["aborted"] / ["clean-fail"] *)
-  pt_error : string option;  (** rendered error when not completed *)
-  pt_oracle : string list;  (** oracle discrepancies; [[]] = restored *)
-  pt_leaked_fds : int;  (** host-wide open-fd delta after the point *)
-  pt_unclean : string option;  (** escaped exception, if any *)
-  pt_digest : string;  (** {!Vmsh.Snapshot.digest} of the final guest state *)
-  pt_events : Trace.event list;  (** the point's flight recording *)
-  pt_virtual_ns : float;  (** the point's virtual clock at the end *)
+  pt_outcome : Outcome.t;
 }
 
 type report = {
@@ -45,31 +30,6 @@ type report = {
   sw_unclean : int;
 }
 
-let fault_free = "fault-free"
-
-let boot_disk h =
-  let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:4096 () in
-  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev disk) ()) in
-  ignore (Sfs.mkdir_p fs "/dev");
-  ignore (Sfs.mkdir_p fs "/etc");
-  ignore (Sfs.write_file fs "/etc/hostname" (Bytes.of_string "sweep-vm\n"));
-  Sfs.sync fs;
-  disk
-
-let tools_image clock =
-  match
-    Blockdev.Image.pack ~clock [ Blockdev.Image.file "/bin/busybox" 800_000 ]
-  with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith (H.Errno.show e)
-
-let open_fds h =
-  List.fold_left
-    (fun acc p -> acc + List.length (H.Proc.fd_numbers p))
-    0 h.H.Host.procs
-
-let class_label = function Some c -> Faults.name c | None -> fault_free
-
 (* The attach path renders a fired crash point through this message (a
    stable part of the error taxonomy, round-tripped by Vmsh_error). *)
 let crash_point_fired msg =
@@ -78,158 +38,37 @@ let crash_point_fired msg =
   let rec scan i = i + nl <= ml && (String.sub msg i nl = needle || scan (i + 1)) in
   scan 0
 
-(* One sweep point: fresh machine, armed plan, one attach. [k = None]
-   is the probe (crash point parked at max_int); returns the point and,
-   for the probe, the yield count the attach crossed. [?plan] lets the
-   trace-mutation fuzzer run the same harness under its own scripted
-   fault plan instead of the sweep's class arming. [?baseline] stands
+(* The point's label, projected from its verdict. *)
+let label p =
+  match p.pt_outcome.Outcome.verdict with
+  | Faults.Abort.Survived -> "completed"
+  | Faults.Abort.Clean_abort m ->
+      if crash_point_fired m then "aborted" else "clean-fail"
+  | Faults.Abort.Bug _ -> "unclean"
+
+(* A bug the oracle and the fd count do not explain: an escaped
+   exception, an error outside the taxonomy, a broken workload. *)
+let unclean p =
+  let o = p.pt_outcome in
+  Faults.Abort.is_bug o.Outcome.verdict
+  && o.Outcome.oracle = [] && o.Outcome.leaked_fds = 0
+
+(* One sweep point: fresh machine, armed cell, one attach. [k = None]
+   is the probe (crash point parked at max_int). [?baseline] stands
    the point's machine up as a CoW fork of a baked image instead of a
    cold boot, so the crash matrix also covers forked sessions — the
    rollback oracle then proves restoration through the overlay. *)
-let run_point ?log_level ?plan ?baseline ?hostile ~seed ~cls ~k () =
-  let host = H.Host.create ~seed () in
-  Option.iter (Observe.set_log_level host.H.Host.observe) log_level;
-  (* scenario meta makes the point's flight recording self-describing:
-     [vmsh trace replay] re-runs this exact cell from the file alone.
-     The "hostile" key is only written for hostile cells so plain-sweep
-     recordings stay byte-identical to earlier versions. *)
-  let rec_meta =
-    [
-      ("scenario", "sweep-cell");
-      ("sweep-seed", string_of_int seed);
-      ("class", class_label cls);
-      ("k", string_of_int (Option.value k ~default:(-1)));
-      ("boot", (match baseline with Some _ -> "fork" | None -> "cold"));
-    ]
-    @
-    match hostile with
-    | Some h -> [ ("hostile", Hostile.name h) ]
-    | None -> []
+let run_point ?log_level ?baseline ~seed ~cell ~k () =
+  let boot =
+    match baseline with Some img -> Recipe.Fork_of img | None -> Recipe.Cold
   in
-  List.iter (fun (key, v) -> Trace.Recorder.set_meta host.H.Host.recorder key v)
-    rec_meta;
-  let vmm =
-    match baseline with
-    | None ->
-        let vmm =
-          Vmm.create host ~profile:Profile.qemu ~disk:(boot_disk host) ()
-        in
-        ignore (Vmm.boot vmm ~version:KV.V5_10);
-        vmm
-    | Some img -> (
-        match Baseline.fork img ~host ~profile:Profile.qemu ~name:"sweep-vm" with
-        | Ok f -> f.Baseline.fk_vmm
-        | Error e -> Vmsh.Vmsh_error.fail e)
-  in
-  let vm = Vmm.kvm_vm vmm in
-  let plan =
-    match plan with
-    | Some p -> p
-    | None ->
-        let p =
-          Faults.create ~seed:((seed * 31) + Option.value k ~default:0)
-            ~rate:0.0 ()
-        in
-        (match cls with
-        | Some c -> Faults.set_class p c ~rate:1.0 ~cap:2
-        | None -> ());
-        p
-  in
-  Faults.set_abort_at_yield plan (Some (Option.value k ~default:max_int));
-  (* the timewarp lowering's executor: a scripted skew at yield point n
-     stretches the virtual clock by the factor's excess over unity — a
-     4000-permille warp inserts 3 ms of virtual latency right there.
-     Compression factors (< 1000) fire but add nothing: virtual time is
-     monotone. *)
-  if Faults.skew_script plan <> [] then
-    Faults.set_on_skew plan
-      (Some
-         (fun permille ->
-           let stretch_ns = float_of_int (max 0 (permille - 1000)) *. 1e3 in
-           if stretch_ns > 0. then H.Clock.advance host.H.Host.clock stretch_ns));
-  (* the hostile engine rides the same yield-point stream the crash
-     point enumerates: one adversarial action per cooperative yield of
-     the attach path, from its own seeded stream *)
-  (match hostile with
-  | Some h ->
-      let eng = Hostile.create ~seed ~cls:h vmm in
-      Faults.set_on_yield plan (Some (fun _ -> Hostile.step eng))
-  | None -> ());
-  let before = Vmsh.Snapshot.capture vm in
-  let fds_before = open_fds host in
-  let config = Vmsh.Attach.Config.(with_faults plan (make ())) in
-  let outcome, error, late_writes, unclean, yields =
-    match
-      Vmsh.Attach.attach host ~hypervisor_pid:(Vmm.pid vmm)
-        ~fs_image:(tools_image host.H.Host.clock)
-        ~config
-        ~pump:(fun () -> Vmm.run_until_idle vmm)
-        ()
-    with
-    | Ok session -> (
-        let yields = Faults.yield_ticks plan in
-        ignore (Vmsh.Attach.console_recv session);
-        let out = Vmsh.Attach.console_roundtrip session "hostname" in
-        let late =
-          match Vmsh.Attach.journal session with
-          | Some j -> Vmsh.Journal.late_writes j
-          | None -> []
-        in
-        match Vmsh.Attach.detach session with
-        | Ok () when String.length out > 0 ->
-            ("completed", None, late, None, yields)
-        | Ok () ->
-            ("completed", None, late, Some "console dead after attach", yields)
-        | Error e ->
-            ("completed", Some (Vmsh.Vmsh_error.to_string e), late,
-             Some "detach failed", yields))
-    | Error e ->
-        let msg = Vmsh.Vmsh_error.to_string e in
-        (* the taxonomy must round-trip: a clean abort is diagnosable
-           from its rendered form alone *)
-        let unclean =
-          if Vmsh.Vmsh_error.to_string (Vmsh.Vmsh_error.of_string msg) <> msg
-          then Some ("error does not round-trip: " ^ msg)
-          else None
-        in
-        ((if crash_point_fired msg then "aborted" else "clean-fail"),
-         Some msg, [], unclean, 0)
-    | exception e ->
-        ("unclean", None, [], Some (Printexc.to_string e), 0)
-  in
-  let exclude = Vmsh.Snapshot.dirty_since vm before @ late_writes in
-  let after = Vmsh.Snapshot.capture vm in
-  let oracle = Vmsh.Snapshot.diff ~before ~after ~exclude in
-  let cell_label =
-    match hostile with
-    | Some h -> "hostile-" ^ Hostile.name h
-    | None -> class_label cls
-  in
-  let point =
-    {
-      pt_class = cell_label;
-      pt_yield = (match k with Some k -> k | None -> -1);
-      pt_outcome = outcome;
-      pt_error = error;
-      pt_oracle = oracle;
-      pt_leaked_fds = open_fds host - fds_before;
-      pt_unclean = unclean;
-      pt_digest = Vmsh.Snapshot.digest after;
-      pt_events = Trace.Recorder.events host.H.Host.recorder;
-      pt_virtual_ns = H.Clock.now_ns host.H.Host.clock;
-    }
-  in
-  (* a failed post-condition leaves a replayable artifact when
-     VMSH_TRACE_DIR is set (CI uploads them) *)
-  if point.pt_oracle <> [] || point.pt_leaked_fds > 0 || point.pt_unclean <> None
-  then
-    ignore
-      (Trace.dump_on_failure host.H.Host.recorder
-         ~name:
-           (Printf.sprintf "sweep-%s-k%d" point.pt_class
-              (Option.value k ~default:(-1)))
-         ());
-  (point, yields)
+  let recipe = Recipe.sweep_cell ~boot ~seed ~k cell in
+  let host = Session.host ?log_level recipe in
+  {
+    pt_class = Recipe.cell_label recipe;
+    pt_yield = Recipe.crash_k recipe;
+    pt_outcome = Session.run ~host recipe;
+  }
 
 (* Run [points] thunks, [vms] at a time, on the virtual-time scheduler
    (vms = 1 degenerates to a plain sequential loop). Every point has
@@ -258,81 +97,46 @@ let run_batched ~vms thunks =
     List.filter_map Fun.id (Array.to_list results)
   end
 
-let run ?(seed = 5) ?classes ?(vms = 1) ?(max_yields = 256) ?log_level
-    ?baseline () =
-  let classes =
-    match classes with
-    | Some cs -> cs
-    | None -> None :: List.map Option.some Faults.all
-  in
-  let points =
-    List.concat_map
-      (fun cls ->
-        (* probe: crash point out of reach; learns Y for this class *)
-        let probe, yields =
-          run_point ?log_level ?baseline ~seed ~cls ~k:None ()
-        in
-        let ks = List.init (min yields max_yields) Fun.id in
-        let swept =
-          run_batched ~vms
-            (List.map
-               (fun k () ->
-                 fst (run_point ?log_level ?baseline ~seed ~cls ~k:(Some k) ()))
-               ks)
-        in
-        probe :: swept)
-      classes
-  in
-  let count f = List.length (List.filter f points) in
-  {
-    sw_points = points;
-    sw_classes = List.length classes;
-    sw_oracle_pass = count (fun p -> p.pt_oracle = []);
-    sw_oracle_fail = count (fun p -> p.pt_oracle <> []);
-    sw_leaked_fds = List.fold_left (fun a p -> a + max 0 p.pt_leaked_fds) 0 points;
-    sw_unclean = count (fun p -> p.pt_unclean <> None);
-  }
+let fault_cells =
+  Recipe.Fault None :: List.map (fun c -> Recipe.Fault (Some c)) Faults.all
 
-(* The hostile-guest chaos matrix: hostile-class × crash-point cells.
-   Same probe-then-sweep shape as the fault matrix, but instead of an
-   armed fault class each cell runs a seeded adversarial guest (see
-   {!Hostile}) stepping at every yield point while the crash point is
-   additionally enumerated — the attack races both the attach and its
-   rollback. Post-conditions are identical: every cell must end in a
-   completed attach or a clean, round-trippable abort with the snapshot
-   oracle passing and no descriptor leaked. *)
-let run_hostile ?(seed = 11) ?classes ?(vms = 1) ?(max_yields = 256) ?log_level
-    ?baseline () =
-  let classes =
-    match classes with Some cs -> cs | None -> Hostile.all
-  in
+let hostile_cells = List.map (fun h -> Recipe.Adversary h) Hostile.all
+
+(* The matrix: for every cell, a probe learns Y, the number of yield
+   points its attach crosses, then the attach is killed at every k in
+   [0, Y). Fault cells arm a class at rate 1; hostile cells run a
+   seeded adversarial guest stepping at every yield point, racing both
+   the attach and its rollback. *)
+let run ?(seed = 5) ?(cells = fault_cells) ?(vms = 1) ?(max_yields = 256)
+    ?log_level ?baseline () =
   let points =
     List.concat_map
-      (fun h ->
-        let probe, yields =
-          run_point ?log_level ?baseline ~hostile:h ~seed ~cls:None ~k:None ()
+      (fun cell ->
+        let probe = run_point ?log_level ?baseline ~seed ~cell ~k:None () in
+        let ks =
+          List.init (min probe.pt_outcome.Outcome.yields max_yields) Fun.id
         in
-        let ks = List.init (min yields max_yields) Fun.id in
         let swept =
           run_batched ~vms
             (List.map
-               (fun k () ->
-                 fst
-                   (run_point ?log_level ?baseline ~hostile:h ~seed ~cls:None
-                      ~k:(Some k) ()))
+               (fun k () -> run_point ?log_level ?baseline ~seed ~cell ~k:(Some k) ())
                ks)
         in
         probe :: swept)
-      classes
+      cells
   in
   let count f = List.length (List.filter f points) in
+  let oracle p = p.pt_outcome.Outcome.oracle in
   {
     sw_points = points;
-    sw_classes = List.length classes;
-    sw_oracle_pass = count (fun p -> p.pt_oracle = []);
-    sw_oracle_fail = count (fun p -> p.pt_oracle <> []);
-    sw_leaked_fds = List.fold_left (fun a p -> a + max 0 p.pt_leaked_fds) 0 points;
-    sw_unclean = count (fun p -> p.pt_unclean <> None);
+    sw_classes = List.length cells;
+    sw_oracle_pass = count (fun p -> oracle p = []);
+    sw_oracle_fail = count (fun p -> oracle p <> []);
+    sw_leaked_fds =
+      List.fold_left
+        (fun a p -> a + max 0 p.pt_outcome.Outcome.leaked_fds)
+        0 points;
+    sw_unclean = count unclean;
   }
 
 let ok r = r.sw_oracle_fail = 0 && r.sw_leaked_fds = 0 && r.sw_unclean = 0
@@ -348,9 +152,9 @@ let record mx r =
   set "sweep.leaked_fds" r.sw_leaked_fds;
   set "sweep.unclean" r.sw_unclean;
   set "sweep.aborted"
-    (List.length (List.filter (fun p -> p.pt_outcome = "aborted") r.sw_points));
+    (List.length (List.filter (fun p -> label p = "aborted") r.sw_points));
   set "sweep.completed"
-    (List.length (List.filter (fun p -> p.pt_outcome = "completed") r.sw_points));
+    (List.length (List.filter (fun p -> label p = "completed") r.sw_points));
   (* per-cell-class coverage, so the CI gates can prove every class
      (fault or hostile) actually swept at least one cell *)
   List.iter
@@ -360,11 +164,12 @@ let record mx r =
     r.sw_points
 
 let pp_point ppf p =
-  Format.fprintf ppf "%-13s k=%-3s %-10s oracle=%-5s fds=%+d%s%s"
-    p.pt_class
+  let o = p.pt_outcome in
+  Format.fprintf ppf "%-13s k=%-3s %-10s oracle=%-5s fds=%+d%s%s" p.pt_class
     (if p.pt_yield < 0 then "Y" else string_of_int p.pt_yield)
-    p.pt_outcome
-    (if p.pt_oracle = [] then "pass" else "FAIL")
-    p.pt_leaked_fds
-    (match p.pt_unclean with Some m -> " UNCLEAN: " ^ m | None -> "")
-    (match p.pt_oracle with [] -> "" | d :: _ -> " (" ^ d ^ ")")
+    (label p)
+    (if o.Outcome.oracle = [] then "pass" else "FAIL")
+    o.Outcome.leaked_fds
+    (if unclean p then " UNCLEAN: " ^ Faults.Abort.detail o.Outcome.verdict
+     else "")
+    (match o.Outcome.oracle with [] -> "" | d :: _ -> " (" ^ d ^ ")")

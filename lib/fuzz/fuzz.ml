@@ -20,7 +20,7 @@
       lowered to a scripted fault plan (drop the n-th doorbell, tear
       the n-th descriptor read, bounce the n-th injected syscall) and
       the recipe's attach re-runs for real under that plan, with the
-      journal + snapshot oracle live (see {!Replay.execute_attack}).
+      journal + snapshot oracle live (a [Fleet.Session.Recipe.attack]).
       Completion is [Survived]; a rolled-back, round-trippable failure
       is [Clean_abort]; anything else — escaped exception, oracle
       divergence, fd leak, virtual-budget hang — is a [Bug].

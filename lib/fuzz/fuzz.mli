@@ -11,7 +11,7 @@
     [(trace, seed, rounds)] — it never touches the filesystem or wall
     clock, and the executor is injected, so tests drive campaigns with
     stub executors and the CLI composes it with
-    [Replay.execute_attack]. *)
+    the recipe's [Fleet.Session.Recipe.attack] run. *)
 
 type verdict = Faults.Abort.verdict
 

@@ -1,126 +1,25 @@
-(* Scenario-recipe replay: a [.vmshtrace] file names the deterministic
-   driver that produced it (plus all of its seeds), so replaying is
-   just re-running that driver and diffing the two flight recordings
-   and guest-state digests. No guest memory image is needed — the
-   recipe *is* the reproducer. *)
+(* Scenario-recipe replay: a [.vmshtrace] file's header is the
+   {!Fleet.Session.Recipe.t} that produced it, so replaying is just
+   re-running that recipe and diffing the two flight recordings and
+   guest-state digests. No guest memory image is needed — the recipe
+   *is* the reproducer. *)
 
-type spec =
-  | Attach of { seed : int }
-  | Fleet_run of { seed : int; vms : int; from_baseline : bool }
-  | Sweep_cell of { seed : int; cls : string; k : int; hostile : string }
-  | Serve_job of {
-      seed : int;  (* the job's host seed *)
-      id : int;
-      tenant : string;
-      kind : string;  (* Service.Job wire kind *)
-      start_ns : float;
-      ram_mb : int;
-    }
+module Recipe = Fleet.Session.Recipe
+module Outcome = Fleet.Session.Outcome
 
 type run = { run_events : Trace.event list; run_digest : string }
 
-let meta_of_spec = function
-  | Attach { seed } -> [ ("scenario", "attach"); ("seed", string_of_int seed) ]
-  | Fleet_run { seed; vms; from_baseline } ->
-      [
-        ("scenario", "fleet");
-        ("fleet-seed", string_of_int seed);
-        ("vms", string_of_int vms);
-        ("boot", (if from_baseline then "fork" else "cold"));
-      ]
-  | Sweep_cell { seed; cls; k; hostile } ->
-      [
-        ("scenario", "sweep-cell");
-        ("sweep-seed", string_of_int seed);
-        ("class", cls);
-        ("k", string_of_int k);
-      ]
-      (* only chaos-matrix cells carry the key, so plain-sweep
-         recordings stay byte-identical to earlier versions *)
-      @ (if hostile = "" then [] else [ ("hostile", hostile) ])
-  | Serve_job { seed; id; tenant; kind; start_ns; ram_mb } ->
-      (* the same keys Service.Dispatch.prepare_host tags serve-job
-         failure artifacts with *)
-      [
-        ("scenario", "serve-job");
-        ("job", string_of_int id);
-        ("tenant", tenant);
-        ("kind", kind);
-        ("job-seed", string_of_int seed);
-        ("start-ns", Printf.sprintf "%.0f" start_ns);
-        ("ram-mb", string_of_int ram_mb);
-      ]
-
-let spec_of_meta meta =
-  let str k = List.assoc_opt k meta in
-  let int_or k default =
-    match str k with
-    | None -> Ok default
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some i -> Ok i
-        | None -> Error (Printf.sprintf "bad integer for %s: %s" k s))
-  in
-  let ( let* ) = Result.bind in
-  match str "scenario" with
-  | None -> Error "trace has no scenario metadata; cannot derive a recipe"
-  | Some "attach" ->
-      let* seed = int_or "seed" 5 in
-      Ok (Attach { seed })
-  | Some "fleet" ->
-      (* dump-on-failure artifacts carry the fleet seed as [fleet-seed];
-         the per-session [seed] key is the derived host seed, not the
-         recipe's *)
-      let* seed =
-        match str "fleet-seed" with
-        | Some _ -> int_or "fleet-seed" 7
-        | None -> int_or "seed" 7
-      in
-      let* vms = int_or "vms" 1 in
-      let from_baseline = str "boot" = Some "fork" in
-      Ok (Fleet_run { seed; vms; from_baseline })
-  | Some "sweep-cell" ->
-      let* seed =
-        match str "sweep-seed" with
-        | Some _ -> int_or "sweep-seed" 5
-        | None -> int_or "seed" 5
-      in
-      let* k = int_or "k" (-1) in
-      let cls = Option.value (str "class") ~default:Fleet.Sweep.fault_free in
-      let hostile = Option.value (str "hostile") ~default:"" in
-      Ok (Sweep_cell { seed; cls; k; hostile })
-  | Some "serve-job" ->
-      let* seed = int_or "job-seed" 0 in
-      let* id = int_or "job" 0 in
-      let* ram_mb = int_or "ram-mb" 32 in
-      let tenant = Option.value (str "tenant") ~default:"t0" in
-      let kind = Option.value (str "kind") ~default:"attach" in
-      let start_ns =
-        Option.value
-          (Option.bind (str "start-ns") float_of_string_opt)
-          ~default:0.
-      in
-      Ok (Serve_job { seed; id; tenant; kind; start_ns; ram_mb })
-  | Some s -> Error ("unknown scenario: " ^ s)
-
-let execute ?log_level = function
-  | Attach { seed } ->
-      let pt, _ = Fleet.Sweep.run_point ?log_level ~seed ~cls:None ~k:None () in
-      Ok
-        {
-          run_events = pt.Fleet.Sweep.pt_events;
-          run_digest = pt.Fleet.Sweep.pt_digest;
-        }
-  | Fleet_run { seed; vms; from_baseline } -> (
+let execute ?log_level (r : Recipe.t) =
+  match r.Recipe.scenario with
+  | Recipe.Fleet_run { seed; vms } -> (
       (* a forked fleet needs no baseline file: baking is itself
-         deterministic, so the replay re-bakes the identical image *)
-      let cfg = Fleet.Config.make ~vms () |> Fleet.Config.with_seed seed in
+         deterministic, so the recipe re-bakes the identical image *)
       let cfg =
-        if from_baseline then
-          Fleet.Config.with_boot_source
-            (Fleet.Config.Fork_of (Fleet.Baseline.bake ()))
-            cfg
-        else cfg
+        Fleet.Config.make ~vms ()
+        |> Fleet.Config.with_seed seed
+        |> Fleet.Config.with_profile r.Recipe.profile
+        |> Fleet.Config.with_version r.Recipe.kernel
+        |> Fleet.Config.with_boot_source r.Recipe.boot
       in
       let cfg =
         match log_level with
@@ -129,159 +28,39 @@ let execute ?log_level = function
       in
       match Fleet.run cfg with
       | Error e -> Error (Vmsh.Vmsh_error.to_string e)
-      | Ok r ->
-          Ok { run_events = Fleet.flight_events r; run_digest = Fleet.digest r })
-  | Sweep_cell { seed; cls; k; hostile } -> (
-      let parsed_cls =
-        (* chaos-matrix cells record pt_class = "hostile-<class>" with
-           no fault class armed; accept that label too *)
-        if cls = Fleet.Sweep.fault_free || hostile <> "" then Ok None
-        else
-          match Faults.of_name cls with
-          | Some c -> Ok (Some c)
-          | None -> Error ("unknown fault class: " ^ cls)
-      in
-      let parsed_hostile =
-        if hostile = "" then Ok None
-        else
-          match Hostile.of_name hostile with
-          | Some h -> Ok (Some h)
-          | None -> Error ("unknown hostile class: " ^ hostile)
-      in
-      match (parsed_cls, parsed_hostile) with
-      | Error e, _ | _, Error e -> Error e
-      | Ok cls, Ok hostile ->
-          let k = if k < 0 then None else Some k in
-          let pt, _ =
-            Fleet.Sweep.run_point ?log_level ?hostile ~seed ~cls ~k ()
-          in
-          Ok
-            {
-              run_events = pt.Fleet.Sweep.pt_events;
-              run_digest = pt.Fleet.Sweep.pt_digest;
-            })
+      | Ok rep ->
+          Ok { run_events = Fleet.flight_events rep; run_digest = Fleet.digest rep })
+  | _ ->
+      let host = Fleet.Session.host ?log_level r in
+      let o = Fleet.Session.run ~host r in
+      Ok
+        {
+          run_events = Trace.Recorder.events host.Hostos.Host.recorder;
+          run_digest = o.Outcome.digest;
+        }
 
-  | Serve_job { seed; id; tenant; kind; start_ns; ram_mb } -> (
-      match Service.Job.kind_of_string kind with
-      | None -> Error ("unknown job kind: " ^ kind)
-      | Some job_kind ->
-          let job =
-            {
-              Service.Job.id;
-              tenant;
-              kind = job_kind;
-              seed;
-              priority = 0;
-              deadline_ns = 0.;
-            }
-          in
-          let host, status =
-            Service.Dispatch.execute_job ~job ~start_ns ~ram_mb ?log_level ()
-          in
-          (* no whole-guest digest survives a detached job; the
-             terminal status stands in (computed identically on both
-             sides of the diff) *)
-          Ok
-            {
-              run_events = Trace.Recorder.events host.Hostos.Host.recorder;
-              run_digest =
-                Digest.to_hex
-                  (Digest.string (Service.Job.status_to_string status));
-            })
-
-(* ------------------------------------------------------------------ *)
-(* Mutant execution: drive the recipe under a scripted fault plan      *)
-(* ------------------------------------------------------------------ *)
-
-(* The trace-mutation fuzzer turns a mutated flight recording into a
-   scripted {!Faults.t} plan and asks: does the real pipeline survive
-   that perturbation? The attack re-runs the recipe's attach on a fresh
-   machine (for a fleet recipe, the one session the mutation touched —
-   per-session host seeds are the fleet's own derivation) with the
-   journal + snapshot oracle and the fd-leak check live, then folds the
-   sweep point into the shared three-way taxonomy. *)
-
-type attack = {
-  at_verdict : Faults.Abort.verdict;
-  at_events : Trace.event list;  (** the attacked run's flight recording *)
-  at_virtual_ns : float;  (** virtual time the attacked run consumed *)
-}
-
-let default_budget_ns = 120e9
-
-let attack_host_seed spec ~session =
-  match spec with
-  | Attach { seed } -> seed
-  | Sweep_cell { seed; _ } -> seed
-  | Serve_job { seed; _ } -> seed
-  (* the fleet engine's per-session host seed derivation *)
-  | Fleet_run { seed; _ } -> (seed * 1009) + (session * 17)
-
-let execute_attack ?log_level ?(budget_ns = default_budget_ns) ?(session = 0)
-    ~plan spec =
-  let seed = attack_host_seed spec ~session in
-  let pt, _ =
-    Fleet.Sweep.run_point ?log_level ~plan ~seed ~cls:None ~k:None ()
-  in
-  let verdict =
-    if pt.Fleet.Sweep.pt_virtual_ns > budget_ns then
-      Faults.Abort.Bug
-        (Printf.sprintf "hang: %.0f ms of virtual time exceeds the budget"
-           (pt.Fleet.Sweep.pt_virtual_ns /. 1e6))
-    else
-      match pt.Fleet.Sweep.pt_unclean with
-      | Some m -> Faults.Abort.Bug ("unclean: " ^ m)
-      | None ->
-          if pt.Fleet.Sweep.pt_oracle <> [] then
-            Faults.Abort.Bug
-              ("oracle: " ^ List.hd pt.Fleet.Sweep.pt_oracle)
-          else if pt.Fleet.Sweep.pt_leaked_fds > 0 then
-            Faults.Abort.Bug
-              (Printf.sprintf "%d descriptors leaked"
-                 pt.Fleet.Sweep.pt_leaked_fds)
-          else if pt.Fleet.Sweep.pt_outcome = "completed" then
-            Faults.Abort.Survived
-          else
-            Faults.Abort.Clean_abort
-              (Option.value pt.Fleet.Sweep.pt_error
-                 ~default:pt.Fleet.Sweep.pt_outcome)
-  in
-  {
-    at_verdict = verdict;
-    at_events = pt.Fleet.Sweep.pt_events;
-    at_virtual_ns = pt.Fleet.Sweep.pt_virtual_ns;
-  }
-
-let record ?log_level spec ~path =
-  match execute ?log_level spec with
+let record ?log_level r ~path =
+  match execute ?log_level r with
   | Error _ as e -> e
   | Ok run ->
-      let meta = meta_of_spec spec @ [ ("digest", run.run_digest) ] in
+      let meta = Recipe.to_meta r @ [ ("digest", run.run_digest) ] in
       let oc = open_out_bin path in
       output_string oc (Trace.encode ~meta run.run_events);
       close_out oc;
       Ok run
 
 let replay ?log_level ~path () =
-  match Trace.load path with
-  | Error e -> Error e
-  | Ok f -> (
-      match spec_of_meta f.Trace.f_meta with
-      | Error _ as e -> e
-      | Ok spec -> (
-          match execute ?log_level spec with
-          | Error _ as e -> e
-          | Ok run ->
-              let diffs = Trace.diff f.Trace.f_events run.run_events in
-              let diffs =
-                match List.assoc_opt "digest" f.Trace.f_meta with
-                | Some d when d <> run.run_digest ->
-                    diffs
-                    @ [
-                        Printf.sprintf
-                          "snapshot digest diverges: recorded %s, replay %s" d
-                          run.run_digest;
-                      ]
-                | _ -> diffs
-              in
-              Ok diffs))
+  let ( let* ) = Result.bind in
+  let* f = Trace.load path in
+  let* r = Recipe.of_meta f.Trace.f_meta in
+  let* run = execute ?log_level r in
+  let diffs = Trace.diff f.Trace.f_events run.run_events in
+  Ok
+    (match List.assoc_opt "digest" f.Trace.f_meta with
+    | Some d when d <> run.run_digest ->
+        diffs
+        @ [
+            Printf.sprintf "snapshot digest diverges: recorded %s, replay %s" d
+              run.run_digest;
+          ]
+    | _ -> diffs)

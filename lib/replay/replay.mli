@@ -1,97 +1,37 @@
 (** The replay-diff oracle: deterministic re-execution of a recorded
     flight log.
 
-    A [.vmshtrace] file carries a {e scenario recipe} in its metadata —
-    which driver produced it (smoke attach, fleet run, crash-point
-    sweep cell) and every seed that parameterised it. Because the whole
-    substrate is a deterministic function of those seeds, {!replay} can
-    re-run the scenario without the original guest and compare the
-    fresh run against the file, event by event, plus the guest-state
-    snapshot digest. Any divergence means either nondeterminism crept
-    into the pipeline or the recording is corrupt — a second oracle
-    next to {!Vmsh.Snapshot}. *)
-
-type spec =
-  | Attach of { seed : int }  (** one fault-free smoke attach *)
-  | Fleet_run of { seed : int; vms : int; from_baseline : bool }
-      (** a whole fleet run; [from_baseline] replays the sessions as CoW
-          forks of a deterministically re-baked {!Fleet.Baseline.image} *)
-  | Sweep_cell of { seed : int; cls : string; k : int; hostile : string }
-      (** one crash-matrix cell: fault class × abort-at-yield(k);
-          [k = -1] is the class's probe (crash point out of reach).
-          [hostile] names the adversarial-guest class attacking the
-          cell (chaos-matrix recordings), or is [""] for a plain
-          sweep cell *)
-  | Serve_job of {
-      seed : int;
-      id : int;
-      tenant : string;
-      kind : string;
-      start_ns : float;
-      ram_mb : int;
-    }
-      (** one service job re-run in isolation: the same machine seed,
-          kind and dispatch instant the dispatcher used, so a failing
-          job's artifact replays without the rest of the stream *)
+    A [.vmshtrace] file's header is the {!Fleet.Session.Recipe.t} that
+    produced it, seeds and all. The substrate is a deterministic
+    function of those seeds, so {!replay} re-runs the recipe without
+    the original guest and compares the fresh run against the file,
+    event by event, plus the guest-state digest. Any divergence means
+    nondeterminism crept into the pipeline or the recording is corrupt
+    — a second oracle next to {!Vmsh.Snapshot}. *)
 
 type run = {
   run_events : Trace.event list;  (** the fresh run's flight recording *)
-  run_digest : string;  (** its guest-state digest *)
+  run_digest : string;  (** its guest-state digest ([""] when none is taken) *)
 }
 
-val meta_of_spec : spec -> (string * string) list
-(** The scenario recipe as trace metadata ([scenario], [seed], …). *)
-
-val spec_of_meta : (string * string) list -> (spec, string) result
-(** Parse a recipe back out of trace metadata. Accepts both the keys
-    {!meta_of_spec} writes and the ones the in-tree dump-on-failure
-    sites write ([fleet-seed], [sweep-seed]). *)
-
-val execute : ?log_level:Observe.level -> spec -> (run, string) result
-(** Deterministically run the scenario; [Error] only for an unknown
-    fault-class or job-kind name. [log_level] sets the re-run hosts'
-    stderr log level (default quiet — replay output stays
+val execute :
+  ?log_level:Observe.level -> Fleet.Session.Recipe.t -> (run, string) result
+(** Run the recipe: a whole-fleet recipe through the fleet engine, any
+    other through {!Fleet.Session.run}. [Error] only when the fleet
+    engine rejects the configuration. [log_level] sets the re-run
+    hosts' stderr log level (default quiet, so output stays
     byte-comparable). *)
 
-(** {2 Mutant execution}
-
-    The trace-mutation fuzzer (lib/fuzz) derives a scripted
-    {!Faults.t} plan from a mutated recording and asks whether the real
-    pipeline survives it. *)
-
-type attack = {
-  at_verdict : Faults.Abort.verdict;
-  at_events : Trace.event list;  (** the attacked run's flight recording *)
-  at_virtual_ns : float;  (** virtual time the attacked run consumed *)
-}
-
-val default_budget_ns : float
-(** 120 virtual seconds — same hang budget as the fault matrix. *)
-
-val execute_attack :
-  ?log_level:Observe.level ->
-  ?budget_ns:float ->
-  ?session:int ->
-  plan:Faults.t ->
-  spec ->
-  attack
-(** Re-run the recipe's attach on a fresh machine under [plan] (for a
-    fleet recipe, the one [session] the mutation touched, using the
-    fleet engine's per-session host-seed derivation), with the journal
-    + snapshot oracle and fd-leak check live. Exceeding [budget_ns] of
-    virtual time, an escaped exception, an oracle divergence or a
-    descriptor leak is a {!Faults.Abort.Bug}; a round-trippable attach
-    failure after full rollback is a [Clean_abort]; completion is
-    [Survived]. *)
-
 val record :
-  ?log_level:Observe.level -> spec -> path:string -> (run, string) result
-(** {!execute}, then save the recording (with its recipe and digest in
-    the metadata) as a [.vmshtrace] file at [path]. *)
+  ?log_level:Observe.level ->
+  Fleet.Session.Recipe.t ->
+  path:string ->
+  (run, string) result
+(** {!execute}, then save the recording, headed by the recipe and the
+    digest, as a [.vmshtrace] file at [path]. *)
 
 val replay :
   ?log_level:Observe.level -> path:string -> unit -> (string list, string) result
-(** Load [path], re-run its recipe, and diff. [Ok []] means the replay
-    matched the recording event-for-event and digest-for-digest;
-    [Ok lines] lists the divergences; [Error] means the file or its
-    recipe could not be read. *)
+(** Load [path], re-run its recipe, and diff: [Ok []] is a clean
+    replay, [Ok lines] lists the divergences, [Error] means the file or
+    its header could not be read. *)

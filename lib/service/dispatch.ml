@@ -20,10 +20,10 @@
      min-clock pick interleaves job sessions exactly as N real
      processes would. Dispatch is attempted when a job arrives and when
      a job completes — the only instants at which a worker can free up.
-   - Every job runs a full session: its own host / VMM / guest /
-     fault plan, with the attach journal and the snapshot oracle
-     exactly as the one-shot CLI verbs run them. Failing jobs dump
-     replayable .vmshtrace artifacts tagged scenario=serve-job.
+   - Every job is a {!Fleet.Session} recipe: its own host / VMM /
+     guest / fault plan, run and graded by the same runner as the
+     fleet, the sweep and the CLI. Failing jobs dump replayable
+     .vmshtrace artifacts headed scenario=serve-job.
 
    Everything downstream of (config, seed) is deterministic: the
    admission decisions, the dispatch order, every per-job latency, the
@@ -31,13 +31,9 @@
    runs. *)
 
 module H = Hostos
-module Sfs = Blockdev.Simplefs
-module Vmm = Hypervisor.Vmm
-module Profile = Hypervisor.Profile
-module KV = Linux_guest.Kernel_version
+module Session = Fleet.Session
 module Packet = Linux_guest.Netstack.Packet
 module Frame = Net.Frame
-module E = Vmsh.Vmsh_error
 
 type arrivals = Poisson | Bursty | Ramp
 
@@ -133,197 +129,6 @@ type report = {
   rp_leaked_workers : int;  (** workers still marked busy at the end *)
 }
 
-(* --- per-job simulated machines ------------------------------------ *)
-
-let boot_disk h ~name =
-  let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:4096 () in
-  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev disk) ()) in
-  ignore (Sfs.mkdir_p fs "/dev");
-  ignore (Sfs.mkdir_p fs "/etc");
-  ignore (Sfs.write_file fs "/etc/hostname" (Bytes.of_string (name ^ "\n")));
-  Sfs.sync fs;
-  disk
-
-let tools_image clock =
-  match
-    Blockdev.Image.pack ~clock [ Blockdev.Image.file "/bin/busybox" 800_000 ]
-  with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith (H.Errno.show e)
-
-let open_fds h =
-  List.fold_left
-    (fun acc p -> acc + List.length (H.Proc.fd_numbers p))
-    0 h.H.Host.procs
-
-(* Is a rendered error a clean member of the taxonomy? (The fuzz and
-   sweep kinds count a clean, round-trippable abort as success.) *)
-let round_trips msg = E.to_string (E.of_string msg) = msg
-
-(* Build the simulated machine a job will run on. Its clock is
-   pre-advanced to the dispatch instant, so every timestamp the session
-   records — and the scheduler's min-clock pick — sits on the service
-   timeline. *)
-let prepare_host ~(job : Job.t) ~start_ns ~ram_mb ?log_level ?(worker = -1) ()
-    =
-  let host = H.Host.create ~seed:job.Job.seed () in
-  Option.iter (Observe.set_log_level host.H.Host.observe) log_level;
-  H.Clock.advance host.H.Host.clock start_ns;
-  Trace.Recorder.set_session host.H.Host.recorder job.Job.id;
-  List.iter
-    (fun (k, v) -> Trace.Recorder.set_meta host.H.Host.recorder k v)
-    [
-      ("scenario", "serve-job");
-      ("job", string_of_int job.Job.id);
-      ("tenant", job.Job.tenant);
-      ("kind", Job.kind_to_string job.Job.kind);
-      ("job-seed", string_of_int job.Job.seed);
-      ("start-ns", Printf.sprintf "%.0f" start_ns);
-      ("ram-mb", string_of_int ram_mb);
-    ];
-  Trace.Recorder.record host.H.Host.recorder ~kind:"service.start"
-    ~args:[ ("job", Trace.I job.Job.id); ("worker", Trace.I worker) ]
-    ();
-  host
-
-(* Execute one job on [host]. Returns the terminal status; never
-   raises for in-taxonomy failures (an escaped exception is the
-   caller's problem to surface). Also the replay path for serve-job
-   .vmshtrace artifacts. *)
-let execute_on ~host ~(job : Job.t) ~ram_mb ?cache () =
-  let name = Printf.sprintf "job%d" job.Job.id in
-  let vmm =
-    Vmm.create host ~profile:Profile.qemu ~disk:(boot_disk host ~name) ~ram_mb
-      ()
-  in
-  ignore (Vmm.boot vmm ~version:KV.V5_10);
-  let vm = Vmm.kvm_vm vmm in
-  (* the oracle baseline and fd watermark, where the kind wants them *)
-  let needs_oracle =
-    match job.Job.kind with
-    | Job.Attach_detach | Job.Sweep_cell _ | Job.Hostile_attach _ -> true
-    | Job.Attach | Job.Fuzz_seed _ -> false
-  in
-  let before = if needs_oracle then Some (Vmsh.Snapshot.capture vm) else None in
-  let fds_before = open_fds host in
-  let plan =
-    match job.Job.kind with
-    | Job.Attach | Job.Attach_detach -> None
-    | Job.Fuzz_seed { boost } ->
-        (* cap 4 injections per class — fewer consecutive faults than
-           the 6-attempt retry bound, so transient schedules are always
-           survivable and a fuzz job failure means a real bug (the same
-           calibration the bench's recovery scenario documents) *)
-        let plan =
-          Faults.create ~seed:((job.Job.seed * 31) + 7) ~rate:0.25 ~cap:4 ()
-        in
-        (match Faults.of_name boost with
-        | Some c -> Faults.set_class plan c ~rate:1.0 ~cap:2
-        | None -> ());
-        Some plan
-    | Job.Sweep_cell { cls; k } ->
-        let plan = Faults.create ~seed:((job.Job.seed * 31) + k) ~rate:0.0 () in
-        (match Faults.of_name cls with
-        | Some c -> Faults.set_class plan c ~rate:1.0 ~cap:2
-        | None -> ());
-        Faults.set_abort_at_yield plan (Some k);
-        Some plan
-    | Job.Hostile_attach { cls } -> (
-        (* a rate-0 plan injects no faults; it only carries the yield
-           hook the in-guest adversary steps from, exactly as the chaos
-           matrix arms it *)
-        match Hostile.of_name cls with
-        | None -> None
-        | Some c ->
-            let plan =
-              Faults.create ~seed:((job.Job.seed * 31) + 13) ~rate:0.0 ()
-            in
-            let eng = Hostile.create ~seed:job.Job.seed ~cls:c vmm in
-            Faults.set_on_yield plan (Some (fun _ -> Hostile.step eng));
-            Some plan)
-  in
-  let config =
-    let open Vmsh.Attach.Config in
-    let c = make () in
-    let c = match cache with Some k -> with_symbol_cache k c | None -> c in
-    match plan with Some p -> with_faults p c | None -> c
-  in
-  let attach_result =
-    match
-      Vmsh.Attach.attach host ~hypervisor_pid:(Vmm.pid vmm)
-        ~fs_image:(tools_image host.H.Host.clock)
-        ~config
-        ~pump:(fun () -> Vmm.run_until_idle vmm)
-        ()
-    with
-    | result -> result
-    | exception e -> Error (E.Msg ("escaped exception: " ^ Printexc.to_string e))
-  in
-  let status =
-    match attach_result with
-    | Ok session -> (
-        ignore (Vmsh.Attach.console_recv session);
-        let out = Vmsh.Attach.console_roundtrip session "hostname" in
-        let late =
-          match Vmsh.Attach.journal session with
-          | Some j -> Vmsh.Journal.late_writes j
-          | None -> []
-        in
-        match Vmsh.Attach.detach session with
-        | Error e -> Job.Failed ("detach: " ^ E.to_string e)
-        | Ok () when String.length out = 0 ->
-            Job.Failed "console dead after attach"
-        | Ok () -> (
-            match before with
-            | None -> Job.Completed
-            | Some before ->
-                let exclude = Vmsh.Snapshot.dirty_since vm before @ late in
-                let after = Vmsh.Snapshot.capture vm in
-                (match Vmsh.Snapshot.diff ~before ~after ~exclude with
-                | [] ->
-                    let leaked = open_fds host - fds_before in
-                    if leaked > 0 then
-                      Job.Failed
-                        (Printf.sprintf "leaked %d descriptors" leaked)
-                    else Job.Completed
-                | d :: _ -> Job.Failed ("oracle: " ^ d))))
-    | Error e -> (
-        let msg = E.to_string e in
-        match job.Job.kind with
-        | Job.Attach | Job.Attach_detach -> Job.Failed msg
-        | Job.Fuzz_seed _ | Job.Sweep_cell _ | Job.Hostile_attach _ ->
-            (* survival kinds: a clean, round-trippable abort that rolls
-               the guest back and leaks nothing is a success *)
-            if not (round_trips msg) then
-              Job.Failed ("error does not round-trip: " ^ msg)
-            else
-              let oracle =
-                match before with
-                | None -> []
-                | Some before ->
-                    let exclude = Vmsh.Snapshot.dirty_since vm before in
-                    Vmsh.Snapshot.diff ~before
-                      ~after:(Vmsh.Snapshot.capture vm) ~exclude
-              in
-              (match oracle with
-              | d :: _ -> Job.Failed ("oracle: " ^ d)
-              | [] ->
-                  let leaked = open_fds host - fds_before in
-                  if leaked > 0 then
-                    Job.Failed (Printf.sprintf "leaked %d descriptors" leaked)
-                  else Job.Completed))
-  in
-  Trace.Recorder.record host.H.Host.recorder ~kind:"service.complete"
-    ~args:[ ("job", Trace.I job.Job.id) ]
-    ();
-  status
-
-(* Convenience for replay: fresh machine + execution in one call. *)
-let execute_job ~(job : Job.t) ~start_ns ~ram_mb ?log_level ?cache () =
-  let host = prepare_host ~job ~start_ns ~ram_mb ?log_level () in
-  let status = execute_on ~host ~job ~ram_mb ?cache () in
-  (host, status)
-
 (* --- arrival processes --------------------------------------------- *)
 
 (* Inter-arrival gap in virtual ns for arrival [i] of [jobs]. Open
@@ -398,7 +203,7 @@ let run (cfg : config) : report =
       ("arrivals", arrivals_to_string cfg.arrivals);
     ];
   let adm = Admission.create cfg.tenants in
-  let cache = Vmsh.Symbol_analysis.Cache.create () in
+  let cache = Session.cache () in
   let sched = Sched.create () in
   let records = Array.make (max 1 cfg.jobs) None in
   (* worker pool bookkeeping: a slot, not a fiber *)
@@ -495,10 +300,6 @@ let run (cfg : config) : report =
             bump ("service.dispatched." ^ job.Job.tenant);
             let host_done host status =
               let end_ns = H.Clock.now_ns host.H.Host.clock in
-              Trace.Recorder.record host.H.Host.recorder
-                ~kind:"service.complete"
-                ~args:[ ("job", Trace.I job.Job.id) ]
-                ();
               file_terminal job ~status ~submit ~start ~end_:end_ns ~worker:w;
               Observe.Metrics.observe h_e2e (end_ns -. submit);
               Observe.Metrics.observe h_wait (start -. submit);
@@ -511,13 +312,7 @@ let run (cfg : config) : report =
                   bump "service.failed";
                   bump ("service.failed." ^ job.Job.tenant);
                   Observe.log obs Observe.Info "serve: job %d failed: %s"
-                    job.Job.id err;
-                  ignore
-                    (Trace.dump_on_failure host.H.Host.recorder
-                       ~name:
-                         (Printf.sprintf "serve-s%d-job%d" cfg.seed job.Job.id)
-                       ~extra_meta:[ ("error", err) ]
-                       ())
+                    job.Job.id err
               | Job.Shed _ | Job.Expired _ -> ());
               (* fold the session's registry into the service-wide one:
                  the merged export carries stage.attach/exit/pump
@@ -532,10 +327,16 @@ let run (cfg : config) : report =
             (* the job session runs as a fresh fiber pinned to the
                session host's pre-advanced clock; spawning mid-run puts
                it straight into the scheduler's pick set at [start] *)
-            let host =
-              prepare_host ~job ~start_ns:start ~ram_mb:cfg.ram_mb
-                ?log_level:cfg.log_level ~worker:w ()
+            (* the job's own machine, its clock pre-advanced to the
+               dispatch instant so every timestamp the session records
+               (and the scheduler's min-clock pick) sits on the service
+               timeline *)
+            let recipe =
+              Session.Recipe.serve_job ~seed:job.Job.seed ~id:job.Job.id
+                ~tenant:job.Job.tenant ~kind:job.Job.kind ~start_ns:start
+                ~ram_mb:cfg.ram_mb ~worker:w
             in
+            let host = Session.host ?log_level:cfg.log_level recipe in
             Observe.log obs Observe.Info
               "serve: job %d (%s, %s) -> worker %d" job.Job.id job.Job.tenant
               (Job.kind_to_string job.Job.kind)
@@ -544,13 +345,9 @@ let run (cfg : config) : report =
               ~name:(Printf.sprintf "job%d" job.Job.id)
               ~clock:host.H.Host.clock
               (fun () ->
-                match execute_on ~host ~job ~ram_mb:cfg.ram_mb ~cache () with
-                | status -> host_done host status
-                | exception e ->
-                    (* the job machine blew up mid-session: file the
-                       failure so the worker still frees *)
-                    host_done host
-                      (Job.Failed ("escaped exception: " ^ Printexc.to_string e)));
+                host_done host
+                  (Job.status_of_outcome job.Job.kind
+                     (Session.run ~cache ~host recipe)));
             maybe_dispatch ~now:!svc_now ()
           end
       | None ->
@@ -767,16 +564,6 @@ let run (cfg : config) : report =
 
 let num = Observe.Export.num
 
-let status_fields = function
-  | Job.Completed -> ("completed", None)
-  | Job.Failed e -> ("failed", Some e)
-  | Job.Shed r -> ("shed", Some r)
-  | Job.Expired late ->
-      ( "expired",
-        Some
-          (E.to_string (E.Context ("job deadline", E.Deadline_exceeded late)))
-      )
-
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -799,7 +586,7 @@ let results_jsonl (r : report) =
   Array.iter
     (fun jr ->
       let j = jr.jr_job in
-      let status, detail = status_fields jr.jr_status in
+      let status, detail = Job.status_fields jr.jr_status in
       Buffer.add_string b
         (Printf.sprintf
            "{\"id\": %d, \"tenant\": \"%s\", \"kind\": \"%s\", \"seed\": %d, \

@@ -4,7 +4,7 @@
    machine it runs on — so a failing job's flight recording can be
    replayed from its wire form alone. *)
 
-type kind =
+type kind = Fleet.Session.Job_kind.t =
   | Attach  (** boot a guest, attach the overlay, prove the console *)
   | Attach_detach
       (** attach then detach, with the snapshot oracle asserting the
@@ -40,35 +40,37 @@ type status =
   | Shed of string  (** admission reason: ["rate"] / ["queue-full"] / ["evicted"] *)
   | Expired of int  (** virtual ns past the deadline at dispatch time *)
 
-let kind_to_string = function
-  | Attach -> "attach"
-  | Attach_detach -> "attach-detach"
-  | Sweep_cell { cls; k } -> Printf.sprintf "sweep:%s:%d" cls k
-  | Fuzz_seed { boost } -> Printf.sprintf "fuzz:%s" boost
-  | Hostile_attach { cls } -> Printf.sprintf "hostile:%s" cls
+let kind_to_string = Fleet.Session.Job_kind.to_string
 
-let kind_of_string s =
-  match String.split_on_char ':' s with
-  | [ "attach" ] -> Some Attach
-  | [ "attach-detach" ] -> Some Attach_detach
-  | [ "sweep"; cls; k ] -> (
-      match int_of_string_opt k with
-      | Some k when k >= 0 -> Some (Sweep_cell { cls; k })
-      | _ -> None)
-  | [ "fuzz"; boost ] -> Some (Fuzz_seed { boost })
-  | [ "hostile"; cls ] -> Some (Hostile_attach { cls })
-  | _ -> None
+(* Only class names the fault and hostile engines know parse, so the
+   frontend refuses a bogus class as a bad request. *)
+let kind_of_string = Fleet.Session.Job_kind.of_string
 
-let status_to_string = function
-  | Completed -> "completed"
-  | Failed e -> "failed: " ^ e
-  | Shed reason -> "shed: " ^ reason
+(* A job's terminal status, projected from its session's verdict. *)
+let status_of_outcome kind (o : Fleet.Session.Outcome.t) =
+  match o.Fleet.Session.Outcome.verdict with
+  | Faults.Abort.Survived -> Completed
+  | Faults.Abort.Clean_abort m ->
+      (* a clean, rolled-back abort is a success for the kinds that
+         perturb the attach on purpose *)
+      if kind = Attach || kind = Attach_detach then Failed m else Completed
+  | Faults.Abort.Bug m -> Failed m
+
+(* A status's label and detail (an expiry in the round-trippable
+   taxonomy form, checked by the tests). *)
+let status_fields = function
+  | Completed -> ("completed", None)
+  | Failed e -> ("failed", Some e)
+  | Shed reason -> ("shed", Some reason)
   | Expired late_ns ->
-      (* the round-trippable taxonomy form, checked by the tests *)
-      "expired: "
-      ^ Vmsh.Vmsh_error.to_string
-          (Vmsh.Vmsh_error.Context
-             ("job deadline", Vmsh.Vmsh_error.Deadline_exceeded late_ns))
+      ( "expired",
+        Some
+          (Vmsh.Vmsh_error.to_string
+             (Vmsh.Vmsh_error.Context
+                ("job deadline", Vmsh.Vmsh_error.Deadline_exceeded late_ns))) )
+
+let status_to_string s =
+  match status_fields s with l, None -> l | l, Some d -> l ^ ": " ^ d
 
 (* --- wire codec -----------------------------------------------------
    Jobs travel to the frontend over the lib/net workload protocol as an

@@ -418,14 +418,17 @@ let test_fork_journal_rollback () =
   (* one forked crash-matrix cell: kill the attach at a yield point and
      let the snapshot oracle prove the journal restored the overlay *)
   let img = Lazy.force baked in
-  let pt, _ =
-    Fleet.Sweep.run_point ~baseline:img ~seed:5 ~cls:None ~k:(Some 4) ()
+  let pt =
+    Fleet.Sweep.run_point ~baseline:img ~seed:5
+      ~cell:(Fleet.Session.Recipe.Fault None) ~k:(Some 4) ()
   in
-  check cstr "crash point fired" "aborted" pt.Fleet.Sweep.pt_outcome;
+  let o = pt.Fleet.Sweep.pt_outcome in
+  check cstr "crash point fired" "aborted" (Fleet.Sweep.label pt);
   check cbool "journal rolled the overlay back" true
-    (pt.Fleet.Sweep.pt_oracle = []);
-  check cint "no leaked descriptors" 0 pt.Fleet.Sweep.pt_leaked_fds;
-  check cbool "clean abort" true (pt.Fleet.Sweep.pt_unclean = None)
+    (o.Fleet.Session.Outcome.oracle = []);
+  check cint "no leaked descriptors" 0 o.Fleet.Session.Outcome.leaked_fds;
+  check cbool "clean abort" true
+    (not (Faults.Abort.is_bug o.Fleet.Session.Outcome.verdict))
 
 let test_baseline_save_load_roundtrip () =
   let img = Lazy.force baked in

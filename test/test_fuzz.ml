@@ -315,21 +315,20 @@ let test_mutant_meta_roundtrip () =
    executor survives both an empty and a scripted plan --- *)
 
 let test_real_trace_validates_and_survives () =
-  let spec = Replay.Attach { seed = 5 } in
+  let spec = Fleet.Session.Recipe.attach ~seed:5 in
   match Replay.execute spec with
   | Error e -> Alcotest.failf "attach execute failed: %s" e
   | Ok run ->
       check cbool "recorded attach passes the protocol model" true
         (Fuzz.validate run.Replay.run_events = []);
-      let attack plan = Replay.execute_attack ~plan spec in
-      let empty = Faults.create ~seed:0 ~rate:0.0 () in
-      check cbool "unperturbed attack survives" true
-        ((attack empty).Replay.at_verdict = Faults.Abort.Survived);
+      let attack script =
+        let r = Fleet.Session.Recipe.attack spec ~session:0 ~script ~skew:[] in
+        (Fleet.Session.run ~host:(Fleet.Session.host r) r).Fleet.Session.Outcome.verdict
+      in
+      check cbool "unperturbed attack survives" true (attack [] = Faults.Abort.Survived);
       (* a scripted doorbell drop must be absorbed (retry/rekick), not
          break the pipeline *)
-      let scripted = Faults.create ~seed:0 ~rate:0.0 () in
-      Faults.set_script scripted [ (Faults.Notify_drop, 0) ];
-      let v = (attack scripted).Replay.at_verdict in
+      let v = attack [ (Faults.Notify_drop, 0) ] in
       check cbool "scripted notify drop is survivable or a clean abort" true
         (not (Faults.Abort.is_bug v))
 

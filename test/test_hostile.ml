@@ -8,6 +8,7 @@
    crash point) runs in the [hostile-matrix] CI stage, not here. *)
 
 module Sweep = Fleet.Sweep
+module Session = Fleet.Session
 
 let test_names () =
   List.iter
@@ -21,28 +22,33 @@ let test_names () =
 (* One probe cell per class: no crash point, adversary stepping at
    every yield. Whatever the outcome, the post-conditions must hold. *)
 let check_cell ?k h =
-  let point, _yields =
-    Sweep.run_point ~hostile:h ~seed:11 ~cls:None ~k ()
+  let recipe = Session.Recipe.sweep_cell ~seed:11 ~k (Session.Recipe.Adversary h) in
+  let host = Session.host recipe in
+  let o = Session.run ~host recipe in
+  let point =
+    {
+      Sweep.pt_class = Session.Recipe.cell_label recipe;
+      pt_yield = Session.Recipe.crash_k recipe;
+      pt_outcome = o;
+    }
   in
   let label = Format.asprintf "%a" Sweep.pp_point point in
-  Alcotest.(check (list string)) (label ^ ": oracle") [] point.Sweep.pt_oracle;
-  Alcotest.(check int) (label ^ ": fd leak") 0 point.Sweep.pt_leaked_fds;
-  (match point.Sweep.pt_unclean with
-  | Some m -> Alcotest.failf "%s: unclean: %s" label m
-  | None -> ());
-  point
+  Alcotest.(check (list string)) (label ^ ": oracle") [] o.Session.Outcome.oracle;
+  Alcotest.(check int) (label ^ ": fd leak") 0 o.Session.Outcome.leaked_fds;
+  (match o.Session.Outcome.verdict with
+  | Faults.Abort.Bug m -> Alcotest.failf "%s: %s" label m
+  | Faults.Abort.Survived | Faults.Abort.Clean_abort _ -> ());
+  (point, Trace.Recorder.events host.Hostos.Host.recorder)
 
 let test_probe_cells () =
   List.iter
     (fun h ->
-      let p = check_cell h in
+      let _, events = check_cell h in
       (* the adversary must actually have acted, not silently no-oped *)
       Alcotest.(check bool)
         (Hostile.name h ^ " stepped")
         true
-        (List.exists
-           (fun e -> e.Trace.kind = "hostile.step")
-           p.Sweep.pt_events))
+        (List.exists (fun e -> e.Trace.kind = "hostile.step") events))
     Hostile.all
 
 (* The same cell twice must be byte-identical: same outcome, same
@@ -51,15 +57,14 @@ let test_probe_cells () =
 let test_cell_determinism () =
   List.iter
     (fun h ->
-      let a = check_cell h and b = check_cell h in
+      let a, ea = check_cell h and b, eb = check_cell h in
       Alcotest.(check string)
-        (Hostile.name h ^ " outcome") a.Sweep.pt_outcome b.Sweep.pt_outcome;
+        (Hostile.name h ^ " outcome") (Sweep.label a) (Sweep.label b);
       Alcotest.(check string)
-        (Hostile.name h ^ " digest") a.Sweep.pt_digest b.Sweep.pt_digest;
+        (Hostile.name h ^ " digest") a.Sweep.pt_outcome.Session.Outcome.digest
+        b.Sweep.pt_outcome.Session.Outcome.digest;
       Alcotest.(check int)
-        (Hostile.name h ^ " events")
-        (List.length a.Sweep.pt_events)
-        (List.length b.Sweep.pt_events))
+        (Hostile.name h ^ " events") (List.length ea) (List.length eb))
     Hostile.all
 
 (* A mid-attach crash point under an active adversary: the journal must
@@ -68,8 +73,9 @@ let test_crash_under_attack () =
   List.iter (fun h -> ignore (check_cell ~k:3 h)) Hostile.all
 
 let test_hostile_meta () =
-  let point, _ =
-    Sweep.run_point ~hostile:Hostile.Toctou_scan ~seed:11 ~cls:None ~k:None ()
+  let point =
+    Sweep.run_point ~seed:11 ~cell:(Session.Recipe.Adversary Hostile.Toctou_scan)
+      ~k:None ()
   in
   Alcotest.(check bool)
     "cell labelled hostile" true

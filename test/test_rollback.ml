@@ -182,7 +182,7 @@ let test_sweep_gate_subset () =
      a capped yield range so runtest stays fast *)
   let r =
     Fleet.Sweep.run ~seed:5
-      ~classes:[ None; Some Faults.Inject_eintr ]
+      ~cells:Fleet.Session.Recipe.[ Fault None; Fault (Some Faults.Inject_eintr) ]
       ~max_yields:6 ()
   in
   check cint "two classes swept" 2 r.Fleet.Sweep.sw_classes;
@@ -192,11 +192,11 @@ let test_sweep_gate_subset () =
   check cbool "gate passes" true (Fleet.Sweep.ok r);
   check cbool "crash points actually fired" true
     (List.exists
-       (fun p -> p.Fleet.Sweep.pt_outcome = "aborted")
+       (fun p -> Fleet.Sweep.label p = "aborted")
        r.Fleet.Sweep.sw_points);
   check cbool "both probes completed" true
     (List.for_all
-       (fun p -> p.Fleet.Sweep.pt_outcome = "completed")
+       (fun p -> Fleet.Sweep.label p = "completed")
        (List.filter
           (fun p -> p.Fleet.Sweep.pt_yield < 0)
           r.Fleet.Sweep.sw_points))
@@ -207,18 +207,18 @@ let test_sweep_covers_forked_sessions () =
      the rollback oracle to prove restoration of the overlay *)
   let baseline = Fleet.Baseline.bake () in
   let r =
-    Fleet.Sweep.run ~seed:5 ~classes:[ None ] ~max_yields:4 ~baseline ()
+    Fleet.Sweep.run ~seed:5 ~cells:[ Fleet.Session.Recipe.Fault None ] ~max_yields:4 ~baseline ()
   in
   check cbool "forked gate passes" true (Fleet.Sweep.ok r);
   check cbool "forked crash points fired" true
     (List.exists
-       (fun p -> p.Fleet.Sweep.pt_outcome = "aborted")
+       (fun p -> Fleet.Sweep.label p = "aborted")
        r.Fleet.Sweep.sw_points)
 
 let test_sweep_interleaves_on_scheduler () =
   (* vms > 1 runs the points as fibers on the virtual-time scheduler;
      the post-conditions must hold under interleaving too *)
-  let r = Fleet.Sweep.run ~seed:9 ~classes:[ None ] ~max_yields:4 ~vms:2 () in
+  let r = Fleet.Sweep.run ~seed:9 ~cells:[ Fleet.Session.Recipe.Fault None ] ~max_yields:4 ~vms:2 () in
   check cbool "gate passes interleaved" true (Fleet.Sweep.ok r);
   check cint "probe + swept points" 5 (List.length r.Fleet.Sweep.sw_points)
 

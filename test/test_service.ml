@@ -23,8 +23,8 @@ let test_wire_roundtrip () =
     [
       Job.Attach;
       Job.Attach_detach;
-      Job.Sweep_cell { cls = "wedged-stop"; k = 7 };
-      Job.Fuzz_seed { boost = "msg-drop" };
+      Job.Sweep_cell { cls = "attach-race"; k = 7 };
+      Job.Fuzz_seed { boost = "notify-drop" };
       Job.Hostile_attach { cls = "desc-chaos" };
     ]
   in
@@ -46,6 +46,58 @@ let test_wire_roundtrip () =
           check cint "priority" j.Job.priority j'.Job.priority;
           check cbool "deadline" true (j.Job.deadline_ns = j'.Job.deadline_ns))
     kinds
+
+(* unknown fault and hostile class names are bad requests, not jobs
+   that silently run with nothing armed *)
+let test_wire_rejects_unknown_classes () =
+  List.iter
+    (fun kind ->
+      check cbool (kind ^ " does not parse") true (Job.kind_of_string kind = None);
+      let wire =
+        Printf.sprintf
+          "POST /jobs HTTP/1.0\r\nX-Tenant: t0\r\nX-Job: id=1 kind=%s seed=1 \
+           prio=0 deadline=0\r\n\r\n"
+          kind
+      in
+      match Job.of_wire wire with
+      | Ok _ -> Alcotest.failf "frontend accepted %s" kind
+      | Error _ -> ())
+    [ "hostile:bogus"; "sweep:bogus:3"; "fuzz:bogus" ]
+
+(* An exception escaping the attach is a bug for every job kind — the
+   survival kinds accept only a clean, rolled-back abort. *)
+let test_escaped_exception_fails_job () =
+  let verdict =
+    Fleet.Session.Outcome.grade ~elapsed_ns:1e6 ~oracle:[] ~leaked_fds:0
+      (Fleet.Session.Outcome.Raised (Printexc.to_string Not_found))
+  in
+  let outcome =
+    {
+      Fleet.Session.Outcome.verdict;
+      error = None;
+      oracle = [];
+      leaked_fds = 0;
+      digest = "";
+      virtual_ns = 1e6;
+      yields = 0;
+      fork_ns = Float.nan;
+      attach_ns = 1e6;
+    }
+  in
+  check cbool "graded a bug" true (Faults.Abort.is_bug verdict);
+  List.iter
+    (fun kind ->
+      match Job.status_of_outcome kind outcome with
+      | Job.Failed _ -> ()
+      | s ->
+          Alcotest.failf "%s graded %s" (Job.kind_to_string kind)
+            (Job.status_to_string s))
+    [
+      Job.Attach;
+      Job.Sweep_cell { cls = "inject-eintr"; k = 3 };
+      Job.Fuzz_seed { boost = "notify-drop" };
+      Job.Hostile_attach { cls = "desc-chaos" };
+    ]
 
 let test_wire_rejects_garbage () =
   List.iter
@@ -339,6 +391,10 @@ let suite =
           test_wire_roundtrip;
         Alcotest.test_case "wire codec rejects garbage" `Quick
           test_wire_rejects_garbage;
+        Alcotest.test_case "wire codec rejects unknown classes" `Quick
+          test_wire_rejects_unknown_classes;
+        Alcotest.test_case "escaped exception fails the job" `Quick
+          test_escaped_exception_fails_job;
         Alcotest.test_case "token bucket sheds at rate" `Quick
           test_token_bucket_reject;
         Alcotest.test_case "defer borrows and shapes" `Quick

@@ -8,6 +8,8 @@ let cbool = Alcotest.bool
 let cint = Alcotest.int
 let cstr = Alcotest.string
 
+module Recipe = Fleet.Session.Recipe
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -144,8 +146,8 @@ let replay_clean path =
 
 let test_attach_determinism () =
   let a = tmp_trace () and b = tmp_trace () in
-  let run_a = record_ok (Replay.Attach { seed = 41 }) a in
-  let run_b = record_ok (Replay.Attach { seed = 41 }) b in
+  let run_a = record_ok (Recipe.attach ~seed:41) a in
+  let run_b = record_ok (Recipe.attach ~seed:41) b in
   check cbool "identical seeds, identical event streams" true
     (Trace.diff run_a.Replay.run_events run_b.Replay.run_events = []);
   check cstr "identical seeds, identical guest digest"
@@ -160,7 +162,7 @@ let test_attach_determinism () =
 
 let test_fleet_determinism () =
   let path = tmp_trace () in
-  let run = record_ok (Replay.Fleet_run { seed = 7; vms = 8; from_baseline = false }) path in
+  let run = record_ok (Recipe.fleet_run ~seed:7 ~vms:8 ~boot:Recipe.Cold) path in
   (* a clean replay proves the second, independent run matched the
      first event-for-event and digest-for-digest *)
   replay_clean path;
@@ -168,47 +170,129 @@ let test_fleet_determinism () =
     (List.exists (fun e -> e.Trace.session = 7) run.Replay.run_events);
   Sys.remove path
 
-let test_sweep_cell_determinism () =
-  let path = tmp_trace () in
-  let run =
-    record_ok
-      (Replay.Sweep_cell { seed = 5; cls = "inject-eintr"; k = 3; hostile = "" })
-      path
-  in
-  replay_clean path;
-  check cbool "crash cell recorded events" true
-    (run.Replay.run_events <> []);
-  (* the recipe must round-trip through the file's metadata *)
-  (match Trace.load path with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok f -> (
-      match Replay.spec_of_meta f.Trace.f_meta with
-      | Ok
-          (Replay.Sweep_cell
-             { seed = 5; cls = "inject-eintr"; k = 3; hostile = "" }) ->
-          Sys.remove path
-      | Ok _ -> Alcotest.fail "recipe did not round-trip"
-      | Error e -> Alcotest.failf "recipe unreadable: %s" e));
-  (* a chaos-matrix cell round-trips its adversary too *)
-  let path = tmp_trace () in
-  let run =
-    record_ok
-      (Replay.Sweep_cell
-         { seed = 11; cls = "fault-free"; k = -1; hostile = "toctou-scan" })
-      path
-  in
-  replay_clean path;
-  check cbool "hostile cell recorded events" true (run.Replay.run_events <> []);
+(* the recipe must round-trip through the file's header *)
+let check_header path recipe =
   match Trace.load path with
   | Error e -> Alcotest.failf "load failed: %s" e
   | Ok f -> (
-      check cbool "hostile key in metadata" true
-        (List.assoc_opt "hostile" f.Trace.f_meta = Some "toctou-scan");
-      match Replay.spec_of_meta f.Trace.f_meta with
-      | Ok (Replay.Sweep_cell { hostile = "toctou-scan"; _ }) ->
-          Sys.remove path
-      | Ok _ -> Alcotest.fail "hostile recipe did not round-trip"
-      | Error e -> Alcotest.failf "hostile recipe unreadable: %s" e)
+      match Recipe.of_meta f.Trace.f_meta with
+      | Ok r ->
+          check Alcotest.(list (pair string string)) "recipe round-trips"
+            (Recipe.to_meta recipe) (Recipe.to_meta r);
+          f.Trace.f_meta
+      | Error e -> Alcotest.failf "recipe unreadable: %s" e)
+
+let test_sweep_cell_determinism () =
+  let path = tmp_trace () in
+  let recipe =
+    Recipe.sweep_cell ~seed:5 ~k:(Some 3) (Recipe.Fault (Some Faults.Inject_eintr))
+  in
+  let run = record_ok recipe path in
+  replay_clean path;
+  check cbool "crash cell recorded events" true
+    (run.Replay.run_events <> []);
+  ignore (check_header path recipe);
+  Sys.remove path;
+  (* a chaos-matrix cell round-trips its adversary too *)
+  let path = tmp_trace () in
+  let recipe =
+    Recipe.sweep_cell ~seed:11 ~k:None (Recipe.Adversary Hostile.Toctou_scan)
+  in
+  let run = record_ok recipe path in
+  replay_clean path;
+  check cbool "hostile cell recorded events" true (run.Replay.run_events <> []);
+  check cbool "hostile key in metadata" true
+    (List.assoc_opt "hostile" (check_header path recipe) = Some "toctou-scan");
+  Sys.remove path
+
+(* Failure artifacts the producers dump under VMSH_TRACE_DIR must replay
+   clean from their header alone. *)
+let with_dump_dir f =
+  let dir = Filename.temp_file "vmsh-dumps" "" in
+  Sys.remove dir;
+  Unix.putenv "VMSH_TRACE_DIR" dir;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "VMSH_TRACE_DIR" "")
+    (fun () -> f dir);
+  let files =
+    if Sys.file_exists dir then
+      List.map (Filename.concat dir) (List.sort compare (Array.to_list (Sys.readdir dir)))
+    else []
+  in
+  List.iter (fun p -> replay_clean p) files;
+  let metas =
+    List.map
+      (fun p ->
+        match Trace.load p with
+        | Ok f -> f.Trace.f_meta
+        | Error e -> Alcotest.failf "load failed: %s" e)
+      files
+  in
+  List.iter Sys.remove files;
+  if Sys.file_exists dir then Sys.rmdir dir;
+  metas
+
+(* 10 MiB guests boot but cannot take the guest library, so attach jobs
+   fail cleanly after symbol analysis — later ones against a cache the
+   earlier ones warmed *)
+let test_serve_job_artifacts_replay () =
+  let module D = Service.Dispatch in
+  let metas =
+    with_dump_dir (fun _ ->
+        let r =
+          D.run
+            {
+              D.default_config with
+              D.workers = 4;
+              jobs = 8;
+              seed = 29;
+              ram_mb = 10;
+              mix = [ (D.M_attach, 1) ];
+            }
+        in
+        check cbool "jobs failed" true (D.failed r > 0))
+  in
+  check cbool "artifacts dumped" true (metas <> []);
+  check cbool "a warm-cache job among them" true
+    (List.exists (fun m -> List.assoc_opt "symcache" m = Some "warm") metas);
+  check cbool "a job off worker 0 among them" true
+    (List.exists
+       (fun m ->
+         match List.assoc_opt "worker" m with
+         | Some w -> int_of_string w > 0
+         | None -> false)
+       metas)
+
+(* an unsupported hypervisor fails every session; each artifact is one
+   session's recording and replays as that session alone *)
+let test_fleet_session_artifacts_replay () =
+  let cloud =
+    List.find
+      (fun p -> p.Hypervisor.Profile.prof_name = "Cloud Hypervisor")
+      Hypervisor.Profile.all
+  in
+  let metas =
+    with_dump_dir (fun _ ->
+        match
+          Fleet.run
+            (Fleet.Config.make ~vms:2 () |> Fleet.Config.with_profile cloud)
+        with
+        | Error e -> Alcotest.failf "fleet: %s" (Vmsh.Vmsh_error.to_string e)
+        | Ok r ->
+            check cbool "sessions failed" true
+              (List.for_all
+                 (fun s -> Result.is_error s.Fleet.s_result)
+                 r.Fleet.r_sessions))
+  in
+  check cint "one artifact per session" 2 (List.length metas);
+  check Alcotest.(list string) "each names its session" [ "vm0"; "vm1" ]
+    (List.filter_map (List.assoc_opt "session") metas)
+
+let test_fuzz_seed_replays () =
+  let path = tmp_trace () in
+  ignore (record_ok (Recipe.fuzz_seed ~seed:3 ~rate:0.15) path);
+  replay_clean path;
+  Sys.remove path
 
 let suite =
   [
@@ -228,5 +312,11 @@ let suite =
           test_fleet_determinism;
         Alcotest.test_case "sweep crash cell replays clean" `Quick
           test_sweep_cell_determinism;
+        Alcotest.test_case "serve-job artifacts replay clean" `Quick
+          test_serve_job_artifacts_replay;
+        Alcotest.test_case "fleet-session artifacts replay clean" `Quick
+          test_fleet_session_artifacts_replay;
+        Alcotest.test_case "fuzz-seed recipe replays clean" `Quick
+          test_fuzz_seed_replays;
       ] );
   ]
