@@ -76,7 +76,7 @@ let boot_vm ~profile ~version ~seed =
   in
   match Session.stand_up ~host:h r with
   | Ok (vmm, g, _) -> (h, vmm, g)
-  | Error e -> failwith e
+  | Error e -> failwith (Vmsh.Vmsh_error.to_string e)
 
 (* --- attach --- *)
 
@@ -1209,6 +1209,11 @@ let serve_cmd =
         log_level;
       }
     in
+    (match D.validate cfg with
+    | Ok () -> ()
+    | Error e ->
+        Printf.eprintf "serve: %s\n" (Vmsh.Vmsh_error.to_string e);
+        exit 2);
     let r = D.run cfg in
     let mx = Observe.metrics r.D.rp_host.H.Host.observe in
     let shed, expired =

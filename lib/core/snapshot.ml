@@ -34,7 +34,7 @@ let capture vm =
              Array.init pages (fun i ->
                  let off = i * page_size in
                  let len = min page_size (s.size - off) in
-                 Digest.bytes (Kvm.Vm.read_phys vm (s.gpa + off) len))
+                 Kvm.Vm.digest_phys vm (s.gpa + off) len)
            in
            (s.slot, s.gpa, s.size, digests))
     |> List.sort compare
@@ -112,6 +112,7 @@ let diff ~before ~after ~exclude =
   List.rev !problems
 
 let check ~before ~after ~exclude = diff ~before ~after ~exclude = []
+let slots t = t.slots
 
 (* One hex string summarizing the whole snapshot — what the flight
    recorder's replay-diff oracle compares between a live run and its

@@ -25,6 +25,10 @@ val diff : before:t -> after:t -> exclude:(int * int) list -> string list
 
 val check : before:t -> after:t -> exclude:(int * int) list -> bool
 
+val slots : t -> (int * int * int * Digest.t array) list
+(** [(slot, gpa, size, per-page digests)] in slot order: what a test
+    checks against an independently computed capture. *)
+
 val digest : t -> string
 (** One hex digest over every page and register digest — equal iff the
     captured guest states are equal. The replay-diff oracle compares

@@ -32,9 +32,9 @@ type image = {
   img_hostname : string;  (** hostname baked into the frozen disk *)
   img_boot_rng : H.Rng.t;  (** pristine boot stream (pre-KASLR draw) *)
   img_kernel : bytes;  (** encoded kernel image — shared, never copied *)
-  img_ram : bytes;  (** frozen guest RAM *)
-  img_databuf : bytes;  (** frozen VMM disk bounce buffer *)
-  img_disk : bytes;  (** frozen root disk blocks *)
+  img_ram : H.Mem.frozen;  (** frozen guest RAM *)
+  img_databuf : H.Mem.frozen;  (** frozen VMM disk bounce buffer *)
+  img_disk : H.Mem.frozen;  (** frozen root disk blocks *)
   img_digest : string;  (** {!Vmsh.Snapshot.digest} at the freeze point *)
 }
 
@@ -71,7 +71,7 @@ let bake_with ~disk ?(seed = 0xba5e) ?(profile = Profile.qemu)
     img_profile = profile.Profile.prof_name;
     img_version = version;
     img_build_id = build_id version;
-    img_ram_mb = Bytes.length fs.Vmm.fs_ram / (1024 * 1024);
+    img_ram_mb = H.Mem.frozen_length fs.Vmm.fs_ram / (1024 * 1024);
     img_hostname = hostname;
     img_boot_rng = boot_rng;
     img_kernel = Linux_guest.Guest.kernel_image g;
@@ -100,9 +100,9 @@ let validate img ~profile ~version =
   else Ok ()
 
 let check_regions img =
-  let ram = Bytes.length img.img_ram
-  and databuf = Bytes.length img.img_databuf
-  and disk = Bytes.length img.img_disk in
+  let ram = H.Mem.frozen_length img.img_ram
+  and databuf = H.Mem.frozen_length img.img_databuf
+  and disk = H.Mem.frozen_length img.img_disk in
   if ram <> img.img_ram_mb * 1024 * 1024 then
     Error
       (E.Overlay_fault
@@ -199,8 +199,8 @@ let fork img ~host ~profile ~name =
     }
 
 module Debug = struct
-  let ram img = img.img_ram
-  let disk img = img.img_disk
+  let ram img = H.Mem.frozen_bytes img.img_ram
+  let disk img = H.Mem.frozen_bytes img.img_disk
 end
 
 let zero_stats =
@@ -254,19 +254,16 @@ type stored = {
   st_digest : string;
 }
 
-let is_zero_page b off len =
-  let rec go i = i >= len || (Bytes.get b (off + i) = '\000' && go (i + 1)) in
-  go 0
-
 let sparse b =
   let len = Bytes.length b in
   let ps = H.Mem.page_size in
+  let zero = Bytes.make ps '\000' in
   let rec go off acc =
     if off >= len then List.rev acc
     else
       let n = min ps (len - off) in
       let acc =
-        if is_zero_page b off n then acc
+        if H.Mem.region_equal b off zero 0 n then acc
         else (off / ps, Bytes.sub b off n) :: acc
       in
       go (off + ps) acc
@@ -292,11 +289,11 @@ let save img ~path =
       st_hostname = img.img_hostname;
       st_boot_rng = img.img_boot_rng;
       st_kernel = img.img_kernel;
-      st_ram_len = Bytes.length img.img_ram;
-      st_ram_pages = sparse img.img_ram;
-      st_databuf = img.img_databuf;
-      st_disk_len = Bytes.length img.img_disk;
-      st_disk_pages = sparse img.img_disk;
+      st_ram_len = H.Mem.frozen_length img.img_ram;
+      st_ram_pages = sparse (H.Mem.frozen_bytes img.img_ram);
+      st_databuf = H.Mem.frozen_bytes img.img_databuf;
+      st_disk_len = H.Mem.frozen_length img.img_disk;
+      st_disk_pages = sparse (H.Mem.frozen_bytes img.img_disk);
       st_digest = img.img_digest;
     }
   in
@@ -338,9 +335,11 @@ let load ~path =
           img_hostname = st.st_hostname;
           img_boot_rng = st.st_boot_rng;
           img_kernel = st.st_kernel;
-          img_ram = densify st.st_ram_len st.st_ram_pages;
-          img_databuf = st.st_databuf;
-          img_disk = densify st.st_disk_len st.st_disk_pages;
+          img_ram =
+            H.Mem.frozen_of_bytes (densify st.st_ram_len st.st_ram_pages);
+          img_databuf = H.Mem.frozen_of_bytes st.st_databuf;
+          img_disk =
+            H.Mem.frozen_of_bytes (densify st.st_disk_len st.st_disk_pages);
           img_digest = st.st_digest;
         }
       in

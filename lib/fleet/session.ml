@@ -37,6 +37,16 @@ let open_fds h =
 
 let bake = Baseline.bake_with ~disk:boot_disk
 
+(* A guest RAM size a session can stand a machine up in, rejected as a
+   typed config error rather than left to fail inside the boot. *)
+let ram_error ram_mb =
+  E.Invalid_config
+    (Printf.sprintf "ram_mb %d is below the %d MiB the guest boots in" ram_mb
+       Vmm.min_ram_mb)
+
+let check_ram_mb ram_mb =
+  if ram_mb >= Vmm.min_ram_mb then Ok () else Error (ram_error ram_mb)
+
 (* --- served job kinds ---------------------------------------------- *)
 
 module Job_kind = struct
@@ -476,6 +486,7 @@ let cache () = { symbols = Vmsh.Symbol_analysis.Cache.create (); filler = None }
    the linked-clone cost. *)
 let stand_up ~host (r : Recipe.t) =
   match r.boot with
+  | Cold when r.ram_mb < Vmm.min_ram_mb -> Error (ram_error r.ram_mb)
   | Cold ->
       let disk = boot_disk host ~name:r.hostname in
       let disable_seccomp = r.profile.Profile.prof_name = "Firecracker" in
@@ -491,7 +502,7 @@ let stand_up ~host (r : Recipe.t) =
             (Observe.Metrics.histogram mx "fleet.fork_ns")
             f.Baseline.fk_fork_ns;
           Ok (f.Baseline.fk_vmm, f.Baseline.fk_guest, Some f)
-      | Error e -> Error (E.to_string e))
+      | Error e -> Error e)
 
 (* The session after its attach committed: console round trip, echo
    workload, detach. Returns why it went wrong, if it did, and the
@@ -570,7 +581,13 @@ let rec exec ?cache:shared ~host (r : Recipe.t) =
   | exception e ->
       let m = Printexc.to_string e in
       grade ~attach_ns:(fun _ -> Float.nan) (Outcome.Raised m) (Some m)
-  | Error m -> grade ~attach_ns:(fun _ -> Float.nan) (Outcome.Raised m) (Some m)
+  | Error (E.Invalid_config _ as e) ->
+      (* refused before anything was stood up: nothing to roll back *)
+      let m = E.to_string e in
+      grade ~attach_ns:(fun _ -> Float.nan) (Outcome.Aborted m) (Some m)
+  | Error e ->
+      let m = E.to_string e in
+      grade ~attach_ns:(fun _ -> Float.nan) (Outcome.Raised m) (Some m)
   | Ok (vmm, guest, forked) ->
       let fork_ns = Option.map (fun f -> f.Baseline.fk_fork_ns) forked in
       let t0 = H.Clock.now_ns clock in

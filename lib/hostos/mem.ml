@@ -7,12 +7,23 @@
    let a forked VM replay its deterministic boot against the overlay
    without copying anything — only state that genuinely differs from
    the baseline (a per-clone hostname block, attach-time injections)
-   becomes resident. *)
+   becomes resident.
+
+   The frozen base also memoises one MD5 per page, filled on first
+   use: every fork of an image shares it, so a snapshot of a clone
+   hashes only the pages the clone copied. *)
 
 let page_size = 4096
 
+type frozen = {
+  bytes : bytes;  (* never written while any view is alive *)
+  mutable memo : Digest.t array;
+      (* the MD5 of each page of [bytes], [""] until first asked for;
+         [[||]] until the first digest of any page *)
+}
+
 type overlay = {
-  base : bytes;  (* frozen, shared across every fork; never written *)
+  base : frozen;  (* shared across every fork *)
   pages : (int, bytes) Hashtbl.t;  (* page index -> private copy *)
   mutable copied : int;
   mutable silent : int;
@@ -32,11 +43,15 @@ type cow_stats = {
 let create len = { backing = Flat (Bytes.make len '\000'); len }
 let of_bytes buf = { backing = Flat buf; len = Bytes.length buf }
 
+let frozen_of_bytes bytes = { bytes; memo = [||] }
+let frozen_bytes f = f.bytes
+let frozen_length f = Bytes.length f.bytes
+
 let cow base =
   {
     backing =
       Cow { base; pages = Hashtbl.create 64; copied = 0; silent = 0 };
-    len = Bytes.length base;
+    len = Bytes.length base.bytes;
   }
 
 let length t = t.len
@@ -60,7 +75,7 @@ let cow_stats t =
 let cow_page c pi =
   match Hashtbl.find_opt c.pages pi with
   | Some p -> (p, 0)
-  | None -> (c.base, pi * page_size)
+  | None -> (c.base.bytes, pi * page_size)
 
 let cow_page_len t pi = min page_size (t.len - (pi * page_size))
 
@@ -70,17 +85,45 @@ let cow_page_rw t c pi =
   match Hashtbl.find_opt c.pages pi with
   | Some p -> p
   | None ->
-      let p = Bytes.sub c.base (pi * page_size) (cow_page_len t pi) in
+      let p = Bytes.sub c.base.bytes (pi * page_size) (cow_page_len t pi) in
       Hashtbl.add c.pages pi p;
       c.copied <- c.copied + 1;
       p
 
-let region_equal buf boff src soff len =
-  let rec go i =
-    i >= len
-    || (Bytes.get buf (boff + i) = Bytes.get src (soff + i) && go (i + 1))
-  in
-  go 0
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* [region_equal]'s loops: 32 bytes per step, then 8, then the byte
+   tail. Top-level, so a call allocates no closures. *)
+let rec eq_tail a aoff b boff len i =
+  i >= len
+  || Bytes.unsafe_get a (aoff + i) = Bytes.unsafe_get b (boff + i)
+     && eq_tail a aoff b boff len (i + 1)
+
+let rec eq_words a aoff b boff len i =
+  if i > len - 8 then eq_tail a aoff b boff len i
+  else
+    (get64u a (aoff + i) : int64) = get64u b (boff + i)
+    && eq_words a aoff b boff len (i + 8)
+
+let rec eq_blocks a aoff b boff len i =
+  if i > len - 32 then eq_words a aoff b boff len i
+  else
+    let x = aoff + i and y = boff + i in
+    (get64u a x : int64) = get64u b y
+    && (get64u a (x + 8) : int64) = get64u b (y + 8)
+    && (get64u a (x + 16) : int64) = get64u b (y + 16)
+    && (get64u a (x + 24) : int64) = get64u b (y + 24)
+    && eq_blocks a aoff b boff len (i + 32)
+
+(* Every silent write of a fork's boot replay and every reclaimed page
+   is compared here, so it reads words, not bytes. *)
+let region_equal a aoff b boff len =
+  if
+    len < 0 || aoff < 0 || boff < 0
+    || aoff > Bytes.length a - len
+    || boff > Bytes.length b - len
+  then invalid_arg "Mem.region_equal";
+  eq_blocks a aoff b boff len 0
 
 (* Write [len] bytes of [src] at [soff] into a CoW buffer at [off],
    page by page; per page, an identical write is recorded as silent
@@ -94,7 +137,7 @@ let cow_write t c off src soff len =
       (match Hashtbl.find_opt c.pages pi with
       | Some p -> Bytes.blit src soff p poff chunk
       | None ->
-          if region_equal c.base ((pi * page_size) + poff) src soff chunk
+          if region_equal c.base.bytes ((pi * page_size) + poff) src soff chunk
           then c.silent <- c.silent + 1
           else Bytes.blit src soff (cow_page_rw t c pi) poff chunk);
       go (off + chunk) (soff + chunk) (len - chunk)
@@ -117,13 +160,30 @@ let cow_read c off dst doff len =
 
 let freeze t =
   match t.backing with
-  | Flat buf -> Bytes.sub buf 0 t.len
+  | Flat buf -> frozen_of_bytes (Bytes.sub buf 0 t.len)
   | Cow c ->
-      let out = Bytes.sub c.base 0 t.len in
+      let out = Bytes.sub c.base.bytes 0 t.len in
       Hashtbl.iter
         (fun pi p -> Bytes.blit p 0 out (pi * page_size) (Bytes.length p))
         c.pages;
-      out
+      frozen_of_bytes out
+
+(* MD5 of page [pi] of the frozen base, hashed in place on first use
+   and memoised. Sound because the base is never written: a page's
+   digest is fixed for the life of the image. The memo hands out its
+   own strings rather than 16-byte copies: a fork's snapshot then
+   allocates nothing per shared page (copies measured +1.2 % peak heap
+   on a forked fleet, from promoting a fresh string per page). *)
+let frozen_page_digest f pi =
+  if Array.length f.memo = 0 then
+    f.memo <-
+      Array.make ((Bytes.length f.bytes + page_size - 1) / page_size) "";
+  if f.memo.(pi) = "" then begin
+    let off = pi * page_size in
+    let len = min page_size (Bytes.length f.bytes - off) in
+    f.memo.(pi) <- Digest.subbytes f.bytes off len
+  end;
+  f.memo.(pi)
 
 (* Drop private pages whose content re-converged with the base: a
    fork's boot replay must rewrite the page-table arena from scratch
@@ -138,8 +198,8 @@ let cow_reclaim t =
       let dead =
         Hashtbl.fold
           (fun pi p acc ->
-            if region_equal c.base (pi * page_size) p 0 (Bytes.length p) then
-              pi :: acc
+            if region_equal c.base.bytes (pi * page_size) p 0 (Bytes.length p)
+            then pi :: acc
             else acc)
           c.pages []
       in
@@ -231,6 +291,26 @@ let read_bytes t off len =
       let out = Bytes.create len in
       cow_read c off out 0 len;
       out
+
+(* The MD5 of [len] bytes at [off]. A whole page of a CoW buffer is
+   hashed from its private copy, or served from the base's memo while
+   it is still shared; any other range is copied out and hashed.
+
+   Flat memory keeps the copy too. Hashing it in place with
+   [Digest.subbytes] is faster, but a cold boot's snapshot then stops
+   allocating a page per digest, which shifts major-GC pacing and
+   raises the peak heap of every cold-boot session. *)
+let digest t off len =
+  match t.backing with
+  | Flat buf -> Digest.bytes (Bytes.sub buf off len)
+  | Cow c
+    when off mod page_size = 0 && off >= 0 && off < t.len
+         && len = cow_page_len t (off / page_size) -> (
+      let pi = off / page_size in
+      match Hashtbl.find_opt c.pages pi with
+      | Some p -> Digest.bytes p
+      | None -> frozen_page_digest c.base pi)
+  | Cow _ -> Digest.bytes (read_bytes t off len)
 
 let write_bytes t off b =
   match t.backing with

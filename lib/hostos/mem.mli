@@ -21,17 +21,43 @@ val length : t -> int
 val page_size : int
 (** Overlay granularity: 4096. *)
 
-val cow : bytes -> t
+type frozen
+(** Frozen contents a {!cow} view forks from, plus a per-page digest
+    memo (one array slot and one 16-byte string per page, allocated
+    and filled on first use) that every view over it shares. *)
+
+val frozen_of_bytes : bytes -> frozen
+(** Take ownership of [bytes] as a frozen base: it must never be
+    mutated afterwards. *)
+
+val frozen_bytes : frozen -> bytes
+(** The frozen contents themselves (not a copy): read them, never
+    write them. *)
+
+val frozen_length : frozen -> int
+
+val cow : frozen -> t
 (** [cow base] is a copy-on-write view over the frozen [base]: reads
     fall through to [base]; the first write that *diverges* from the
     base copies that 4KiB page into a private overlay. Writing bytes
     identical to the base is recorded as a silent write and copies
     nothing, so a deterministic replay against the overlay stays fully
-    shared. [base] must never be mutated while any view is alive. *)
+    shared. *)
 
-val freeze : t -> bytes
+val freeze : t -> frozen
 (** A private snapshot of the full current contents (base + overlay
     for CoW buffers) — the frozen image a {!cow} view forks from. *)
+
+val digest : t -> int -> int -> Digest.t
+(** [digest m off len] is [Digest.bytes (read_bytes m off len)]. On a
+    {!cow} buffer a whole page (or the short last page) that is still
+    shared is served from the base's memo, and a copied page is hashed
+    from its private copy, so neither is copied out. *)
+
+val region_equal : bytes -> int -> bytes -> int -> int -> bool
+(** [region_equal a aoff b boff len]: the [len] bytes of [a] at [aoff]
+    equal those of [b] at [boff]. Compares eight bytes at a time.
+    Raises [Invalid_argument] when either range is out of bounds. *)
 
 val is_cow : t -> bool
 

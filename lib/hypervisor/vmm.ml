@@ -317,10 +317,20 @@ let add_device t ~slot_index ~regs ~process ~want_irqfd =
   Virtio.Mmio.Device.set_notify regs (fun ~queue:_ -> slot.process t slot);
   t.devices <- t.devices @ [ slot ]
 
-type fork_source = { fs_ram : bytes; fs_databuf : bytes }
+type fork_source = { fs_ram : Mem.frozen; fs_databuf : Mem.frozen }
+
+(* The kernel image sits at 4 MiB with a 2 MiB pad, and boot allocates
+   past it: every kernel version boots in 9 MiB and runs out of
+   physical memory in 8. *)
+let min_ram_mb = 9
 
 let create h ~profile:profx ~disk:diskb ?(ram_mb = 64) ?(vcpus = 1)
     ?(disable_seccomp = false) ?ninep_root ?fork () =
+  if ram_mb < min_ram_mb then
+    invalid_arg
+      (Printf.sprintf
+         "Vmm.create: ram_mb %d is below the %d MiB the guest boots in" ram_mb
+         min_ram_mb);
   let p = Host.spawn h ~name:profx.Profile.process_name ~uid:1000 () in
   (* A fork maps guest RAM and the bounce buffer as CoW overlays over
      the baseline's frozen regions instead of allocating private
@@ -330,18 +340,20 @@ let create h ~profile:profx ~disk:diskb ?(ram_mb = 64) ?(vcpus = 1)
   | None -> ()
   | Some f ->
       let ram_size = ram_mb * 1024 * 1024 in
-      if Bytes.length f.fs_ram <> ram_size then
+      let ram_len = Mem.frozen_length f.fs_ram
+      and databuf_len = Mem.frozen_length f.fs_databuf in
+      if ram_len <> ram_size then
         invalid_arg
           (Printf.sprintf
-             "Vmm.create: baseline RAM is %d bytes but the VM wants %d"
-             (Bytes.length f.fs_ram) ram_size);
-      if Bytes.length f.fs_databuf <> 256 * 1024 then
+             "Vmm.create: baseline RAM is %d bytes but the VM wants %d" ram_len
+             ram_size);
+      if databuf_len <> 256 * 1024 then
         invalid_arg "Vmm.create: baseline bounce buffer is not 256 KiB";
       p.Proc.mmap_backing <-
         Some
           (fun len ->
-            if len = Bytes.length f.fs_ram then Mem.cow f.fs_ram
-            else if len = Bytes.length f.fs_databuf then Mem.cow f.fs_databuf
+            if len = ram_len then Mem.cow f.fs_ram
+            else if len = databuf_len then Mem.cow f.fs_databuf
             else Mem.create len));
   let io_thread = Proc.add_thread p ~name:"iothread" in
   let th = Proc.main_thread p in

@@ -8,9 +8,19 @@
 
 type t
 
-type fork_source = { fs_ram : bytes; fs_databuf : bytes }
+type fork_source = {
+  fs_ram : Hostos.Mem.frozen;
+  fs_databuf : Hostos.Mem.frozen;
+}
 (** Frozen per-VM memory regions of a baked baseline: guest RAM and
-    the VMM's disk bounce buffer (see {!freeze_fork_state}). *)
+    the VMM's disk bounce buffer (see {!freeze_fork_state}). Every
+    fork of one baseline shares them, digest memos included. *)
+
+val min_ram_mb : int
+(** The smallest guest RAM, in MiB, the guest kernel boots in (9, for
+    every kernel version). Attach needs more: at 9 and 10 MiB the
+    attach fails with a typed guest error registering its block
+    device. *)
 
 val create :
   Hostos.Host.t -> profile:Profile.t -> disk:Blockdev.Backend.t ->
@@ -19,7 +29,9 @@ val create :
 (** Spawn the hypervisor process, create the VM, map RAM, register the
     memslot, create vCPUs and instantiate the profile's devices.
     [disable_seccomp] models running Firecracker with its filters off
-    (required for VMSH attach, §6.2). *)
+    (required for VMSH attach, §6.2). Raises [Invalid_argument] when
+    [ram_mb] is below {!min_ram_mb}; callers that take the size from
+    a user check it first (see [Fleet.Session.check_ram_mb]). *)
 
 val host : t -> Hostos.Host.t
 val proc : t -> Hostos.Proc.t

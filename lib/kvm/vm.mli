@@ -83,6 +83,11 @@ val read_phys : t -> int -> int -> bytes
 (** In-guest view of RAM: resolves through the memslots to the
     hypervisor memory backing them. Raises on unbacked addresses. *)
 
+val digest_phys : t -> int -> int -> Digest.t
+(** [digest_phys vm pa len] is [Digest.bytes (read_phys vm pa len)],
+    served through {!Hostos.Mem.digest}: a page a forked VM still
+    shares with its baseline is hashed once per baseline. *)
+
 val write_phys : t -> int -> bytes -> unit
 val read_phys_u64 : t -> int -> int
 val write_phys_u64 : t -> int -> int -> unit

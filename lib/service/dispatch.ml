@@ -32,6 +32,7 @@
 
 module H = Hostos
 module Session = Fleet.Session
+module E = Vmsh.Vmsh_error
 module Packet = Linux_guest.Netstack.Packet
 module Frame = Net.Frame
 
@@ -184,9 +185,18 @@ let frontend_mac = Frame.make_mac ~vendor:0x0566 ~serial:0x5e7e
 let client_mac = Frame.make_mac ~vendor:0x0566 ~serial:0xc11e
 let jobs_port = 8080
 
+(* The config errors a serve refuses before it takes a job: every
+   worker would otherwise fail each job the same way. *)
+let validate (cfg : config) =
+  if cfg.workers <= 0 then
+    Error (E.Invalid_config "serve: workers must be positive")
+  else if cfg.jobs < 0 then Error (E.Invalid_config "serve: jobs must be >= 0")
+  else Session.check_ram_mb cfg.ram_mb
+
 let run (cfg : config) : report =
-  if cfg.workers <= 0 then invalid_arg "Dispatch.run: workers must be positive";
-  if cfg.jobs < 0 then invalid_arg "Dispatch.run: jobs must be >= 0";
+  (match validate cfg with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Dispatch.run: " ^ E.to_string e));
   let front = H.Host.create ~seed:((cfg.seed * 7919) + 1) () in
   Option.iter (Observe.set_log_level front.H.Host.observe) cfg.log_level;
   let obs = front.H.Host.observe in

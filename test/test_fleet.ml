@@ -304,7 +304,8 @@ let test_fleet_shims_retired () =
 
 let test_mem_cow_semantics () =
   let base = Bytes.make (3 * 4096) 'a' in
-  let m = H.Mem.cow base in
+  let frozen = H.Mem.frozen_of_bytes base in
+  let m = H.Mem.cow frozen in
   check cint "read falls through to the base" (Char.code 'a')
     (H.Mem.read_u8 m 5000);
   (* a write of identical bytes must not copy the page *)
@@ -321,7 +322,7 @@ let test_mem_cow_semantics () =
   (* the copy is invisible to the base and to a sibling overlay *)
   check cint "base unaffected" (Char.code 'a') (Char.code (Bytes.get base 5000));
   check cint "sibling unaffected" (Char.code 'a')
-    (H.Mem.read_u8 (H.Mem.cow base) 5000);
+    (H.Mem.read_u8 (H.Mem.cow frozen) 5000);
   (* a page written back to its base bytes is reclaimable *)
   H.Mem.write_u8 m 5000 (Char.code 'a');
   check cint "re-converged page reclaimed" 1 (H.Mem.cow_reclaim m);
@@ -331,7 +332,7 @@ let test_mem_cow_semantics () =
 let test_mem_cow_edge_cases () =
   let pages = 4 in
   let base = Bytes.make (pages * 4096) 'a' in
-  let m = H.Mem.cow base in
+  let m = H.Mem.cow (H.Mem.frozen_of_bytes base) in
   let stats () = Option.get (H.Mem.cow_stats m) in
   check cint "total spans the buffer" pages (stats ()).H.Mem.cs_pages_total;
   (* silent write then diverging write to the same page: the silent
@@ -394,6 +395,83 @@ let test_fork_digest_matches_baseline () =
   check cint "zero pages copied" 0 st.H.Mem.cs_pages_copied;
   check cbool "pages shared with the image" true (st.H.Mem.cs_pages_total > 0);
   check cbool "fork cost charged" true (f.B.fk_fork_ns > 0.)
+
+(* Differential oracle: on a clone that attached, talked and detached
+   (private pages and shared ones side by side), the memoised capture
+   must equal hashing a copy of every page. *)
+let test_fork_capture_matches_copy_and_hash () =
+  let img = Lazy.force baked in
+  let host, f = fork_ok ~seed:113 ~name:"vm-diff" img in
+  let vmm = f.B.fk_vmm in
+  let vm = Vmm.kvm_vm vmm in
+  (match
+     Vmsh.Attach.attach host ~hypervisor_pid:(Vmm.pid vmm)
+       ~fs_image:(Fleet.Session.tools_image host.H.Host.clock)
+       ~pump:(fun () -> Vmm.run_until_idle vmm)
+       ()
+   with
+  | Error e -> Alcotest.failf "attach: %s" (E.to_string e)
+  | Ok s ->
+      check cbool "console answers with the clone's name" true
+        (String.starts_with ~prefix:"vm-diff"
+           (Vmsh.Attach.console_roundtrip s "hostname"));
+      check cbool "detach" true (Result.is_ok (Vmsh.Attach.detach s)));
+  check cbool "the clone diverged some pages" true
+    ((B.resident f).H.Mem.cs_pages_copied > 0);
+  let ps = Vmsh.Snapshot.page_size in
+  let reference =
+    Kvm.Vm.memslots vm
+    |> List.map (fun (s : Kvm.Vm.memslot) ->
+           ( s.Kvm.Vm.slot,
+             s.Kvm.Vm.gpa,
+             s.Kvm.Vm.size,
+             Array.init ((s.Kvm.Vm.size + ps - 1) / ps) (fun i ->
+                 let off = i * ps in
+                 Digest.bytes
+                   (Kvm.Vm.read_phys vm (s.Kvm.Vm.gpa + off)
+                      (min ps (s.Kvm.Vm.size - off)))) ))
+    |> List.sort compare
+  in
+  let regs =
+    Kvm.Vm.vcpus vm
+    |> List.map (fun v ->
+           ( Kvm.Vm.vcpu_index v,
+             Digest.bytes (Kvm.Api.regs_to_bytes (Kvm.Vm.vcpu_regs v)) ))
+    |> List.sort compare
+  in
+  let reference_digest =
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun (slot, gpa, size, pages) ->
+        Buffer.add_string b (Printf.sprintf "%d:%x:%d;" slot gpa size);
+        Array.iter (Buffer.add_string b) pages)
+      reference;
+    List.iter
+      (fun (idx, d) ->
+        Buffer.add_string b (string_of_int idx);
+        Buffer.add_string b d)
+      regs;
+    Digest.to_hex (Digest.bytes (Buffer.to_bytes b))
+  in
+  let snap = Vmsh.Snapshot.capture vm in
+  let slots = Vmsh.Snapshot.slots snap in
+  check cint "same memslots" (List.length reference) (List.length slots);
+  List.iter2
+    (fun (slot, gpa, size, want) (slot', gpa', size', got) ->
+      check cbool "same memslot" true ((slot, gpa, size) = (slot', gpa', size'));
+      Array.iteri
+        (fun p d ->
+          if d <> got.(p) then
+            Alcotest.failf "memslot %d page %d: memoised digest differs" slot p)
+        want)
+    reference slots;
+  check cstr "snapshot digest equals copy-and-hash" reference_digest
+    (Vmsh.Snapshot.digest snap);
+  (* the diverged clone filled the shared memo; a sibling still
+     digests to the baked image *)
+  let _, sib = fork_ok ~seed:114 ~name:(B.hostname img) img in
+  check cstr "sibling digests the baseline" (B.digest img)
+    (Vmsh.Snapshot.digest (Vmsh.Snapshot.capture (Vmm.kvm_vm sib.B.fk_vmm)))
 
 let test_fork_isolation () =
   let img = Lazy.force baked in
@@ -653,6 +731,8 @@ let suite =
         t "cow reclaim and re-copy edge cases" test_mem_cow_edge_cases;
         t "fork digests through fall-through" test_fork_digest_matches_baseline;
         t "fork isolation" test_fork_isolation;
+        t "memoised capture equals copy-and-hash"
+          test_fork_capture_matches_copy_and_hash;
         t "journal rolls back overlay writes" test_fork_journal_rollback;
         t "save/load roundtrip" test_baseline_save_load_roundtrip;
         t "forked fleet is cheap and isolated"

@@ -124,6 +124,106 @@ let test_aspace_cross_mapping_read () =
   check cint "byte from a" 0xaa (Char.code (Bytes.get data 0));
   check cint "byte from b" 0xbb (Char.code (Bytes.get data 1))
 
+(* --- Mem digests and the word-wise compare --- *)
+
+(* Mem.digest must agree with copy-and-hash on every backing and
+   range, whether the page is served from the frozen base's memo, a
+   private copy, or the copy-out fallback. *)
+let test_mem_digest_matches_copy () =
+  let ps = Mem.page_size in
+  let len = (3 * ps) + 1000 in
+  let base = Bytes.init len (fun i -> Char.chr (((i * 7) + (i / ps)) land 0xff)) in
+  let pristine = Bytes.copy base in
+  let agrees name m off n =
+    check cstr name
+      (Digest.to_hex (Digest.bytes (Mem.read_bytes m off n)))
+      (Digest.to_hex (Mem.digest m off n))
+  in
+  let ranges name m =
+    agrees (name ^ ": whole page") m 0 ps;
+    agrees (name ^ ": short last page") m (3 * ps) 1000;
+    agrees (name ^ ": unaligned") m 100 50;
+    agrees (name ^ ": page-straddling") m (ps - 100) 200;
+    agrees (name ^ ": aligned, longer than a page") m ps (ps + 10);
+    agrees (name ^ ": empty") m ps 0;
+    agrees (name ^ ": everything") m 0 len
+  in
+  ranges "flat" (Mem.of_bytes (Bytes.copy base));
+  let frozen = Mem.frozen_of_bytes base in
+  let a = Mem.cow frozen and b = Mem.cow frozen in
+  ranges "shared" a;
+  (* the memo is filled by b, then a diverges that page *)
+  let page1 = Digest.bytes (Bytes.sub pristine ps ps) in
+  check cstr "shared page digests its base bytes" (Digest.to_hex page1)
+    (Digest.to_hex (Mem.digest b ps ps));
+  Mem.write_u8 a (ps + 4) 0x55;
+  check cint "the diverging write copied a page" 1
+    (Option.get (Mem.cow_stats a)).Mem.cs_pages_copied;
+  agrees "copied page" a ps ps;
+  ranges "after a copy" a;
+  check cbool "the copy digests differently" true
+    (Mem.digest a ps ps <> Mem.digest b ps ps);
+  check cstr "the sibling still digests the base" (Digest.to_hex page1)
+    (Digest.to_hex (Mem.digest b ps ps));
+  (* a silent write leaves the page shared and its digest unchanged *)
+  Mem.write_bytes a (2 * ps) (Bytes.sub pristine (2 * ps) 100);
+  check cint "silent write copied nothing" 1
+    (Option.get (Mem.cow_stats a)).Mem.cs_pages_copied;
+  agrees "page after a silent write" a (2 * ps) ps;
+  check cstr "silent page equals the sibling's" (Mem.digest b (2 * ps) ps)
+    (Mem.digest a (2 * ps) ps);
+  (* writing the byte back and reclaiming re-shares the page *)
+  Mem.write_u8 a (ps + 4) (Char.code (Bytes.get pristine (ps + 4)));
+  check cint "re-converged page reclaimed" 1 (Mem.cow_reclaim a);
+  agrees "page after reclaim" a ps ps;
+  check cstr "reclaimed page is the base's again" (Digest.to_hex page1)
+    (Digest.to_hex (Mem.digest a ps ps));
+  (* the short last page, shared and then copied *)
+  Mem.write_u8 a (len - 1) 0xff;
+  agrees "copied short last page" a (3 * ps) 1000;
+  check cbool "sibling's short last page unaffected" true
+    (Mem.digest b (3 * ps) 1000
+    = Digest.bytes (Bytes.sub pristine (3 * ps) 1000));
+  ranges "two diverged pages" a;
+  ranges "sibling" b;
+  check cbool "the base was never written" true (Bytes.equal base pristine)
+
+let test_mem_region_equal () =
+  let src = Bytes.init 64 (fun i -> Char.chr (((i * 37) + 11) land 0xff)) in
+  for len = 0 to 17 do
+    for aoff = 0 to 3 do
+      for boff = 0 to 3 do
+        let dst = Bytes.make 64 '\000' in
+        Bytes.blit src aoff dst boff len;
+        let name what = Printf.sprintf "%s len=%d aoff=%d boff=%d" what len aoff boff in
+        check cbool (name "equal") true (Mem.region_equal src aoff dst boff len);
+        if len > 0 then begin
+          let last = boff + len - 1 in
+          Bytes.set dst last (Char.chr (Char.code (Bytes.get dst last) lxor 1));
+          check cbool (name "last byte differs") false
+            (Mem.region_equal src aoff dst boff len);
+          check cbool (name "prefix before it still equal") true
+            (Mem.region_equal src aoff dst boff (len - 1))
+        end
+      done
+    done
+  done;
+  let a = Bytes.make 4096 'x' in
+  let b = Bytes.copy a in
+  Bytes.set b 4095 'y';
+  check cbool "page differing in its last byte" false
+    (Mem.region_equal a 0 b 0 4096);
+  Bytes.set b 4095 'x';
+  Bytes.set b 3 'y';
+  check cbool "page differing inside its first word" false
+    (Mem.region_equal a 0 b 0 4096);
+  List.iter
+    (fun (aoff, boff, len) ->
+      match Mem.region_equal a aoff b boff len with
+      | _ -> Alcotest.failf "out of bounds (%d, %d, %d) accepted" aoff boff len
+      | exception Invalid_argument _ -> ())
+    [ (4090, 0, 8); (0, 4090, 8); (-1, 0, 4); (0, 0, -1); (0, 0, 4097) ]
+
 (* --- Chan --- *)
 
 let test_chan_fifo () =
@@ -509,6 +609,8 @@ let suite =
         t "aspace overlap rejected" test_aspace_overlap_rejected;
         t "aspace find_free" test_aspace_find_free;
         t "aspace cross-mapping read" test_aspace_cross_mapping_read;
+        t "digest equals copy-and-hash" test_mem_digest_matches_copy;
+        t "word-wise region_equal" test_mem_region_equal;
         QCheck_alcotest.to_alcotest prop_aspace_find_free_never_overlaps;
       ] );
     ( "hostos.chan",

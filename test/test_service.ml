@@ -66,6 +66,40 @@ let test_wire_rejects_unknown_classes () =
 
 (* An exception escaping the attach is a bug for every job kind — the
    survival kinds accept only a clean, rolled-back abort. *)
+(* Guest RAM below what the guest boots in is refused up front as a
+   typed, round-tripping config error — by the serve before it takes
+   a job, and by a session handed the size anyway — instead of every
+   job failing "unclean:" from inside the boot. *)
+let test_small_ram_rejected_typed () =
+  let module E = Vmsh.Vmsh_error in
+  let validate ram_mb = D.validate { D.default_config with D.ram_mb } in
+  let m =
+    match validate 4 with
+    | Error (E.Invalid_config _ as e) ->
+        let m = E.to_string e in
+        check cbool "round-trips" true (E.of_string m = e);
+        m
+    | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
+    | Ok () -> Alcotest.fail "ram_mb 4 accepted"
+  in
+  check cbool "not an unclean failure" false
+    (String.starts_with ~prefix:"unclean:" m);
+  check cbool "8 MiB refused" true (Result.is_error (validate 8));
+  check cbool "the smallest bootable size accepted" true
+    (validate Hypervisor.Vmm.min_ram_mb = Ok ());
+  check cbool "serve refuses to run it" true
+    (match D.run { D.default_config with D.ram_mb = 4; jobs = 1 } with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let recipe =
+    Fleet.Session.Recipe.serve_job ~seed:1 ~id:0 ~tenant:"t0" ~kind:Job.Attach
+      ~start_ns:0. ~ram_mb:4 ~worker:0
+  in
+  let o = Fleet.Session.run ~host:(Fleet.Session.host recipe) recipe in
+  match Job.status_of_outcome Job.Attach o with
+  | Job.Failed m' -> check cstr "the session refuses it the same way" m m'
+  | s -> Alcotest.failf "graded %s" (Job.status_to_string s)
+
 let test_escaped_exception_fails_job () =
   let verdict =
     Fleet.Session.Outcome.grade ~elapsed_ns:1e6 ~oracle:[] ~leaked_fds:0
@@ -395,6 +429,8 @@ let suite =
           test_wire_rejects_unknown_classes;
         Alcotest.test_case "escaped exception fails the job" `Quick
           test_escaped_exception_fails_job;
+        Alcotest.test_case "small guest RAM rejected typed" `Quick
+          test_small_ram_rejected_typed;
         Alcotest.test_case "token bucket sheds at rate" `Quick
           test_token_bucket_reject;
         Alcotest.test_case "defer borrows and shapes" `Quick
